@@ -32,28 +32,43 @@ func (c *Context) chunkRows() int {
 }
 
 // Chunk is one batch of tuples flowing through a stage pipeline, with
-// optional sidecars the producer computed anyway: a selection vector, typed
-// column vectors, join-key prehashes (exchange scatter), and per-row
-// encoded byte sizes (shuffle metering). A chunk handed out by a Cursor is
-// valid only until the next Next call; consumers that retain rows copy the
-// tuple headers (the values themselves live in arena or dataset storage and
-// stay valid).
+// optional sidecars the producer computed anyway: a selection vector, a
+// late projection, typed column vectors, join-key prehashes (exchange
+// scatter), and per-row encoded byte sizes (shuffle metering). A chunk
+// handed out by a Cursor is valid only until the next Next call.
 //
-// Selection semantics: when Sel is non-nil it lists the live row indexes
-// into Rows, ascending — the fused scan filter marks rows instead of
-// copying tuple headers. Hashes and Sizes always align with the LIVE rows
-// (Hashes[k] belongs to Rows[Sel[k]]), so sidecar consumers never index
-// through dead rows. Operators that need a dense slice flatten via the
-// selection on output (RunToSink, the exchange producers); everything else
-// iterates the selection in place.
+// Selection: when Sel is non-nil it lists the live row indexes into Rows,
+// ascending — the fused scan filter marks rows instead of copying tuple
+// headers. Hashes and Sizes always align with the LIVE rows (Hashes[k]
+// belongs to Rows[Sel[k]]), so sidecar consumers never index through dead
+// rows.
+//
+// Projection: when Proj is non-nil the chunk is a view — logical column j of
+// row i is Rows[i][Proj[j]], and the stored tuples are wider than the
+// chunk's schema. A projecting scan emits its stored window this way
+// instead of copying every survivor. Readers that only look at a row go
+// through Proj in place: key prehashes and per-row sizes (localStream,
+// keyHasher), and the join probe, which gathers the projected columns of
+// matching rows straight into its output tuples. Consumers that keep rows
+// copy them through Chunk.row / Chunk.appendLive, which gather a projected
+// row into the consumer's arena: RunToSink, the exchange scatter and
+// collect loops, the broadcast replicate producer, materializeSource and
+// pagedScanInto, and the spill join's chunkSeq adapter. Hashes and Sizes
+// are always of the projected (logical) row. A view chunk carries no Cols.
+//
+// Kept rows share value storage with the producer (arena- or
+// dataset-backed, valid for the execution); a consumer retaining rows
+// copies only tuple headers — or, for a view, the projected values.
 type Chunk struct {
 	Rows   []types.Tuple
 	Sel    []int32  // live row indexes into Rows, ascending; nil = all rows live
+	Proj   []int    // logical column j of a row is Rows[i][Proj[j]]; nil = identity
 	Hashes []uint64 // key prehashes aligned with live rows, nil when not computed
 	Sizes  []int64  // encoded byte sizes aligned with live rows, nil when not computed
 	// Cols serves typed column vectors over Rows (NOT selection-filtered:
 	// vectors align with Rows, and consumers apply Sel themselves). Nil when
-	// the producer has no columnar form; valid until the next Next call.
+	// the producer has no columnar form, and always nil on a view (Proj set);
+	// valid until the next Next call.
 	Cols types.ColSource
 }
 
@@ -65,45 +80,94 @@ func (c *Chunk) Live() int {
 	return len(c.Rows)
 }
 
-// appendLive appends the chunk's live rows to dst in order.
-func (c *Chunk) appendLive(dst []types.Tuple) []types.Tuple {
-	if c.Sel == nil {
+// stored returns the stored tuple behind live row k (full width on a view).
+func (c *Chunk) stored(k int) types.Tuple {
+	if c.Sel != nil {
+		return c.Rows[c.Sel[k]]
+	}
+	return c.Rows[k]
+}
+
+// row returns live row k as a tuple the caller may keep: the stored tuple
+// itself, or on a view its projected columns gathered into arena — the one
+// copy a projected row pays, made only where a consumer keeps it.
+func (c *Chunk) row(k int, arena *types.Arena) types.Tuple {
+	t := c.stored(k)
+	if c.Proj == nil {
+		return t
+	}
+	pt := arena.Make(len(c.Proj))
+	for j, col := range c.Proj {
+		pt[j] = t[col]
+	}
+	return pt
+}
+
+// appendLive appends the chunk's live rows to dst in order, gathering a
+// view's projected columns into arena (see row).
+func (c *Chunk) appendLive(dst []types.Tuple, arena *types.Arena) []types.Tuple {
+	if c.Sel == nil && c.Proj == nil {
 		return append(dst, c.Rows...)
 	}
-	for _, r := range c.Sel {
-		dst = append(dst, c.Rows[r])
+	for k, n := 0, c.Live(); k < n; k++ {
+		dst = append(dst, c.row(k, arena))
 	}
 	return dst
 }
 
-// chunkKeyHashes computes the chunk's join-key prehashes into dst (reused
-// across chunks), aligned with the live rows. When the producer attached a
-// columnar form and every key column gathers cleanly, the hash runs a
-// column at a time (types.HashColsInto — bit-identical to the row form);
-// Mixed columns or row-only chunks take the row path. String key columns
-// decline too: gathering string headers costs more than the per-value kind
-// dispatch the columnar fold saves, so row hashing wins there. vecs is
-// caller-owned scratch for the gathered key vectors.
-func chunkKeyHashes(c *Chunk, keyCols []int, dst []uint64, vecs []*types.ColVec) ([]uint64, []*types.ColVec) {
+// keyHasher computes chunks' join-key prehashes into a reused buffer,
+// aligned with the live rows. keyCols are logical columns; on a view they
+// resolve through Proj to stored offsets, so a projected row hashes exactly
+// as its gathered copy would. When the producer attached a columnar form
+// and every key column gathers cleanly, the hash runs a column at a time
+// (types.HashColsInto — bit-identical to the row form); Mixed columns or
+// row-only chunks take the row path. String key columns decline too:
+// gathering string headers costs more than the per-value kind dispatch the
+// columnar fold saves, so row hashing wins there.
+type keyHasher struct {
+	keyCols []int
+	hashes  []uint64
+	vecs    []*types.ColVec // gathered key vectors (columnar path scratch)
+	stored  []int           // keyCols resolved through a view's Proj
+}
+
+func (h *keyHasher) hash(c *Chunk) []uint64 {
+	if cap(h.hashes) < len(c.Rows) {
+		// Size for the whole window, not the live count: selections vary
+		// per window, and growing to each new maximum would allocate on
+		// every larger one.
+		h.hashes = make([]uint64, 0, len(c.Rows))
+	}
 	if c.Cols != nil {
-		vecs = vecs[:0]
+		h.vecs = h.vecs[:0]
 		clean := true
-		for _, kc := range keyCols {
+		for _, kc := range h.keyCols {
 			v := c.Cols.Col(kc)
 			if v == nil || v.Mixed || v.Kind == types.KindString {
 				clean = false
 				break
 			}
-			vecs = append(vecs, v)
+			h.vecs = append(h.vecs, v)
 		}
 		if clean {
-			return types.HashColsInto(vecs, c.Sel, len(c.Rows), dst), vecs
+			h.hashes = types.HashColsInto(h.vecs, c.Sel, len(c.Rows), h.hashes)
+			return h.hashes
 		}
 	}
-	if c.Sel != nil {
-		return types.HashKeysSelInto(c.Rows, c.Sel, keyCols, dst), vecs
+	cols := h.keyCols
+	if c.Proj != nil {
+		h.stored = h.stored[:0]
+		for _, kc := range h.keyCols {
+			h.stored = append(h.stored, c.Proj[kc])
+		}
+		cols = h.stored
 	}
-	return types.HashKeysInto(c.Rows, keyCols, dst), vecs
+	if c.Sel != nil {
+		h.hashes = types.HashKeysSelInto(c.Rows, c.Sel, cols, h.hashes)
+	} else {
+		h.hashes = types.HashKeysInto(c.Rows, cols, h.hashes)
+	}
+	return h.hashes
 }
 
 // Cursor streams one partition's chunks. Next returns io.EOF at a clean
@@ -165,8 +229,10 @@ func (s *relationSink) Emit(p int, rows []types.Tuple) error {
 // RunToSink streams a source straight into a sink, partition-parallel —
 // the fused scan→sink pipeline of a push-down stage: filter, projection,
 // statistics observation, and write metering all happen in the one pass
-// over each chunk. Chunks carrying a selection vector are flattened through
-// a reusable buffer here — sinks see dense row slices.
+// over each chunk. Chunks carrying a selection vector or a projection are
+// flattened through a reusable header buffer here — sinks see dense row
+// slices — with projected rows gathered into a per-partition arena, since
+// sinks keep the headers they are handed.
 func RunToSink(ctx *Context, src Source, sink Sink) error {
 	return forEachPart(src.Parts(), func(p int) error {
 		cur, err := src.Open(p)
@@ -174,6 +240,7 @@ func RunToSink(ctx *Context, src Source, sink Sink) error {
 			return err
 		}
 		var dense []types.Tuple
+		var arena types.Arena
 		for {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -186,8 +253,8 @@ func RunToSink(ctx *Context, src Source, sink Sink) error {
 				return err
 			}
 			rows := c.Rows
-			if c.Sel != nil {
-				dense = c.appendLive(dense[:0])
+			if c.Sel != nil || c.Proj != nil {
+				dense = c.appendLive(dense[:0], &arena)
 				rows = dense
 			}
 			if err := sink.Emit(p, rows); err != nil {

@@ -277,24 +277,37 @@ func (ht *hashTable) countMatches(hashes []uint64) int {
 	return cnt
 }
 
-// joinInto streams probeRows through the table, appending one build⧺probe
+// joinInto streams probe rows through the table, appending one build⧺probe
 // (or probe⧺build, per buildFirst) arena tuple per match to out and
-// returning it. hashes are the probe rows' prehashes — rows are hashed once
-// upstream (exchange or broadcast-probe prehash), never here. Matches
-// sharing a full hash are emitted in build row order, matching the chain
-// order of the previous map-based table. The flat loop — no per-row closure
-// — is the join's innermost hot path.
+// returning it — the one probe loop behind every hash and broadcast join,
+// batch, streaming, and spilling. Probe row k lives at probeRows[sel[k]]
+// (sel nil: probeRows[k]), so a filter that produced the selection never
+// copied a tuple header; hashes[k] is its prehash — rows are hashed once
+// upstream (exchange or probe prehash), never here. On a late-projected
+// probe (proj non-nil) logical column j of a probe row is pt[proj[j]]: the
+// key compare reads through proj, and only a matching row's projected
+// columns are gathered, straight into the output tuple. probeCols are
+// logical columns. Matches sharing a full hash are emitted in build row
+// order. The flat loop — no per-row closure — is the join's innermost hot
+// path.
 //
 //dynopt:hotpath
-func (ht *hashTable) joinInto(out []types.Tuple, arena *types.Arena, probeRows []types.Tuple, hashes []uint64, probeCols []int, buildFirst bool) []types.Tuple {
-	starts, idx, hs, bRows, mask := ht.starts, ht.idx, ht.hashes, ht.rows, ht.mask
-	singleKey := len(probeCols) == 1 && len(ht.keyCols) == 1
+func (ht *hashTable) joinInto(out []types.Tuple, arena *types.Arena, probeRows []types.Tuple, sel []int32, proj []int, hashes []uint64, probeCols []int, buildFirst bool) []types.Tuple {
+	starts, idx, hs, bRows, mask, bCols := ht.starts, ht.idx, ht.hashes, ht.rows, ht.mask, ht.keyCols
+	singleKey := len(probeCols) == 1 && len(bCols) == 1
 	var bCol0, pCol0 int
 	if singleKey {
-		bCol0, pCol0 = ht.keyCols[0], probeCols[0]
+		bCol0, pCol0 = bCols[0], probeCols[0]
+		if proj != nil {
+			pCol0 = proj[pCol0]
+		}
 	}
-	for r, pt := range probeRows {
-		h := hashes[r]
+	for k, h := range hashes {
+		r := k
+		if sel != nil {
+			r = int(sel[k])
+		}
+		pt := probeRows[r]
 		b := h & mask
 		for _, ri := range idx[starts[b]:starts[b+1]] {
 			if hs[ri] != h {
@@ -305,56 +318,46 @@ func (ht *hashTable) joinInto(out []types.Tuple, arena *types.Arena, probeRows [
 				if !bt[bCol0].Equal(pt[pCol0]) {
 					continue
 				}
-			} else if !bt.KeysEqual(ht.keyCols, pt, probeCols) {
+			} else if !keysEqualProj(bt, bCols, pt, probeCols, proj) {
 				continue
 			}
-			if buildFirst {
-				out = append(out, arena.Concat(bt, pt))
-			} else {
-				out = append(out, arena.Concat(pt, bt))
+			if proj == nil {
+				if buildFirst {
+					out = append(out, arena.Concat(bt, pt))
+				} else {
+					out = append(out, arena.Concat(pt, bt))
+				}
+				continue
 			}
+			o := arena.Make(len(bt) + len(proj))
+			po := 0
+			if buildFirst {
+				po = copy(o, bt)
+			} else {
+				copy(o[len(proj):], bt)
+			}
+			for j, c := range proj {
+				o[po+j] = pt[c]
+			}
+			out = append(out, o)
 		}
 	}
 	return out
 }
 
-// joinSelInto is joinInto over a selection-vector chunk: probe row k of the
-// sidecars lives at probeRows[sel[k]], so the filter that produced the
-// selection never copied a tuple header. Match semantics and output order
-// are identical to flattening the selection and calling joinInto.
-//
-//dynopt:hotpath
-func (ht *hashTable) joinSelInto(out []types.Tuple, arena *types.Arena, probeRows []types.Tuple, sel []int32, hashes []uint64, probeCols []int, buildFirst bool) []types.Tuple {
-	starts, idx, hs, bRows, mask := ht.starts, ht.idx, ht.hashes, ht.rows, ht.mask
-	singleKey := len(probeCols) == 1 && len(ht.keyCols) == 1
-	var bCol0, pCol0 int
-	if singleKey {
-		bCol0, pCol0 = ht.keyCols[0], probeCols[0]
-	}
-	for k, r := range sel {
-		pt := probeRows[r]
-		h := hashes[k]
-		b := h & mask
-		for _, ri := range idx[starts[b]:starts[b+1]] {
-			if hs[ri] != h {
-				continue
-			}
-			bt := bRows[ri]
-			if singleKey {
-				if !bt[bCol0].Equal(pt[pCol0]) {
-					continue
-				}
-			} else if !bt.KeysEqual(ht.keyCols, pt, probeCols) {
-				continue
-			}
-			if buildFirst {
-				out = append(out, arena.Concat(bt, pt))
-			} else {
-				out = append(out, arena.Concat(pt, bt))
-			}
+// keysEqualProj is Tuple.KeysEqual with the probe side read through an
+// optional projection (nil: identity).
+func keysEqualProj(bt types.Tuple, bCols []int, pt types.Tuple, pCols, proj []int) bool {
+	for k, bc := range bCols {
+		pc := pCols[k]
+		if proj != nil {
+			pc = proj[pc]
+		}
+		if !bt[bc].Equal(pt[pc]) {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
 // HashJoin is the repartitioning dynamic hash join of §3: both inputs are
@@ -445,7 +448,7 @@ func hashJoinBatch(ctx *Context, left, right *Relation, leftKeys, rightKeys []st
 			cnt := ht.countMatches(rHash[p])
 			arena.Reserve(cnt * outSchema.Len())
 			rows := make([]types.Tuple, 0, cnt)
-			out.Parts[p] = ht.joinInto(rows, &arena, right.Parts[p], rHash[p], rCols, true)
+			out.Parts[p] = ht.joinInto(rows, &arena, right.Parts[p], nil, nil, rHash[p], rCols, true)
 		} else {
 			ht := buildTable(right.Parts[p], rHash[p], rCols)
 			acct.BuildRows.Add(int64(len(right.Parts[p])))
@@ -455,7 +458,7 @@ func hashJoinBatch(ctx *Context, left, right *Relation, leftKeys, rightKeys []st
 			cnt := ht.countMatches(lHash[p])
 			arena.Reserve(cnt * outSchema.Len())
 			rows := make([]types.Tuple, 0, cnt)
-			out.Parts[p] = ht.joinInto(rows, &arena, left.Parts[p], lHash[p], lCols, false)
+			out.Parts[p] = ht.joinInto(rows, &arena, left.Parts[p], nil, nil, lHash[p], lCols, false)
 		}
 		return nil
 	})
@@ -560,7 +563,7 @@ func broadcastJoinBatch(ctx *Context, left, right *Relation, leftKeys, rightKeys
 		var arena types.Arena
 		arena.Reserve(cnt * outSchema.Len())
 		rows := make([]types.Tuple, 0, cnt)
-		out.Parts[p] = ht.joinInto(rows, &arena, probe.Parts[p], hs, pCols, buildLeft)
+		out.Parts[p] = ht.joinInto(rows, &arena, probe.Parts[p], nil, nil, hs, pCols, buildLeft)
 		return nil
 	})
 	if err != nil {

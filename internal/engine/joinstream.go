@@ -48,11 +48,7 @@ func (w *probeState) consume(c *Chunk) error {
 	// reusable buffer whose capacity converges after a few chunks, and the
 	// arena grows geometrically — so the streaming probe pays one pass over
 	// the buckets, not two.
-	if c.Sel != nil {
-		w.rows = w.ht.joinSelInto(w.rows[:0], &w.arena, c.Rows, c.Sel, c.Hashes, w.pCols, w.buildFirst)
-	} else {
-		w.rows = w.ht.joinInto(w.rows[:0], &w.arena, c.Rows, c.Hashes, w.pCols, w.buildFirst)
-	}
+	w.rows = w.ht.joinInto(w.rows[:0], &w.arena, c.Rows, c.Sel, c.Proj, c.Hashes, w.pCols, w.buildFirst)
 	if len(w.rows) == 0 {
 		return nil
 	}
@@ -231,7 +227,7 @@ func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [
 				return err
 			}
 			hint := probe.PartBytesHint(p)
-			st := &localStream{cur: cur, keyCols: pCols, wantSizes: wantSizes && hint < 0}
+			st := &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantSizes: wantSizes && hint < 0}
 			return worker(p, st, hint)
 		})
 	}
@@ -333,7 +329,7 @@ func BroadcastJoinStream(ctx *Context, build *Relation, probe Source, buildKeys,
 			return err
 		}
 		hint := probe.PartBytesHint(p)
-		st := &localStream{cur: cur, keyCols: pCols, wantSizes: budget > 0 && hint < 0}
+		st := &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantSizes: budget > 0 && hint < 0}
 		w := &probeState{
 			ctx:   ctx,
 			ht:    ht,

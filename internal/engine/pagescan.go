@@ -82,18 +82,16 @@ func pagePruned(zones []expr.ColRange, pi *storage.PageInfo) bool {
 // page, in windows of at most ctx.chunkRows() rows so chunk capacity and
 // page boundaries stay independent.
 type pagedCursor struct {
-	ctx   *Context
-	prep  *scanPrep
-	pg    *storage.PagedData
-	part  int
-	page  int // next page index
-	pd    types.PageData
-	win   []types.Tuple // materialized rows of the current page
-	lo    int           // next unemitted row within win
-	sel   []int32
-	arena types.Arena
-	rows  []types.Tuple
-	c     Chunk
+	ctx  *Context
+	prep *scanPrep
+	pg   *storage.PagedData
+	part int
+	page int // next page index
+	pd   types.PageData
+	win  []types.Tuple // materialized rows of the current page
+	lo   int           // next unemitted row within win
+	sel  []int32
+	c    Chunk
 
 	// Window column source: per-column slices of the decoded page vectors,
 	// cut to the emitted window. Rebuilt lazily per window like a ColCache.
@@ -251,31 +249,17 @@ func (c *pagedCursor) Next() (*Chunk, error) {
 				continue
 			}
 		}
-		if c.prep.projIdx == nil {
-			if len(sel) == len(win) {
-				sel = nil
-			}
-			c.c = Chunk{Rows: win, Sel: sel, Cols: cols}
-			return &c.c, nil
+		// As in scanCursor: the page window goes out with its selection,
+		// and a projection as a view over it (only projected and filter
+		// columns were decoded; Proj never reaches the rest).
+		if len(sel) == len(win) {
+			sel = nil
 		}
-		c.rows = c.rows[:0]
-		gather := func(t types.Tuple) {
-			pt := c.arena.Make(len(c.prep.projIdx))
-			for i, idx := range c.prep.projIdx {
-				pt[i] = t[idx]
-			}
-			c.rows = append(c.rows, pt)
-		}
-		if sel != nil {
-			for _, r := range sel {
-				gather(win[r])
-			}
+		if c.prep.projIdx != nil {
+			c.c = Chunk{Rows: win, Sel: sel, Proj: c.prep.projIdx}
 		} else {
-			for _, t := range win {
-				gather(t)
-			}
+			c.c = Chunk{Rows: win, Sel: sel, Cols: cols}
 		}
-		c.c = Chunk{Rows: c.rows}
 		return &c.c, nil
 	}
 }
@@ -290,6 +274,7 @@ func pagedScanInto(ctx *Context, ds *storage.Dataset, sp *scanPrep) (*Relation, 
 		meterScanPart(ctx, ds, p)
 		cur := newPagedCursor(ctx, ds, sp, p)
 		var rows []types.Tuple
+		var arena types.Arena
 		//dynopt:cancel-ok pagedCursor.Next checks ctx.Err() on every chunk pull
 		for {
 			ch, err := cur.Next()
@@ -299,15 +284,9 @@ func pagedScanInto(ctx *Context, ds *storage.Dataset, sp *scanPrep) (*Relation, 
 			if err != nil {
 				return err
 			}
-			if ch.Sel != nil {
-				for _, r := range ch.Sel {
-					rows = append(rows, ch.Rows[r])
-				}
-			} else {
-				// Projection chunks reuse the cursor's row buffer; copy the
-				// headers out so the next chunk cannot overwrite them.
-				rows = append(rows, ch.Rows...)
-			}
+			// Page windows are fresh per page, so stored rows are kept by
+			// header; a projected view gathers its columns into the arena.
+			rows = ch.appendLive(rows, &arena)
 		}
 		out.Parts[p] = rows
 		return nil

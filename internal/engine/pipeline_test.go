@@ -61,9 +61,10 @@ func collectStream(nparts int, run func(mk SinkFactory) error) (*Relation, error
 // runBothModes executes the batch and streaming forms of the same join job
 // on fresh but identically loaded contexts and requires identical rows
 // (order included), identical schema and partitioning metadata, and
-// identical counters.
+// identical counters. It returns the output row count and the batch and
+// streaming counter snapshots.
 func runBothModes(t *testing.T, nodes int, load func(ctx *Context),
-	batchJob func(ctx *Context) (*Relation, error), streamJob func(ctx *Context) (*Relation, error)) {
+	batchJob func(ctx *Context) (*Relation, error), streamJob func(ctx *Context) (*Relation, error)) (int, [2]cluster.Snapshot) {
 	t.Helper()
 	type res struct {
 		rel  *Relation
@@ -98,6 +99,7 @@ func runBothModes(t *testing.T, nodes int, load func(ctx *Context),
 	if fmt.Sprint(b.rel.PartCols) != fmt.Sprint(s.rel.PartCols) {
 		t.Errorf("PartCols diverged: %v vs %v", b.rel.PartCols, s.rel.PartCols)
 	}
+	return len(br), [2]cluster.Snapshot{b.snap, s.snap}
 }
 
 // TestStreamMatchesBatchChunkBoundaries sweeps the streaming joins across
@@ -246,7 +248,7 @@ func TestStreamMatchesBatchChunkBoundaries(t *testing.T) {
 			})
 			t.Run("filtered-scan-join", func(t *testing.T) {
 				// Selective filter empties most scan windows; projection
-				// exercises the arena-backed streaming decode.
+				// sends view chunks (Chunk.Proj) down the pipeline.
 				runBothModes(t, 4, load,
 					func(ctx *Context) (*Relation, error) {
 						f, err := ScanByName(ctx, "fact", "f", payFilter(), []string{"id", "fk"})
@@ -334,7 +336,7 @@ func registerTyped(t *testing.T, ctx *Context, name string, pk []string, schema 
 // TestStreamMatchesBatchSelChunks pins the selection-vector chunk form
 // end-to-end: a filter without projection emits stored windows with a Sel
 // sidecar, which must flow through the scatter exchange, the local join
-// pipeline (joinSelInto), and columnar key hashing with results and counters
+// pipeline (joinInto over the selection), and columnar key hashing with results and counters
 // identical to the dense batch reference. Covers the vectorized int and
 // string kernels, NULLs in filtered columns, and the scalar fallback for UDF
 // predicates.
@@ -405,7 +407,7 @@ func TestStreamMatchesBatchSelChunks(t *testing.T) {
 			})
 			t.Run("int-filter-prepartitioned", func(t *testing.T) {
 				// Probe pre-partitioned on the join key: sel chunks skip the
-				// exchange and hit joinSelInto directly.
+				// exchange and hit the probe loop directly.
 				filt := &expr.Compare{Op: expr.CmpGe,
 					L: &expr.Column{Qualifier: "f", Name: "pay"}, R: &expr.Literal{Val: types.Int(300)}}
 				runBothModes(t, 4, loadInt,

@@ -244,23 +244,20 @@ func (s *scanSource) materialize(ctx *Context) (*Relation, error) {
 }
 
 // scanCursor streams one partition, fusing filter and projection into the
-// decode pass. A filter-only scan never copies tuple headers: the predicate
-// (vectorized over the reader's column vectors when a kernel compiled,
-// row-at-a-time otherwise) marks live rows in a reused selection vector and
-// the chunk goes out as Rows+Sel over the stored window. Only a projection
-// gathers survivors densely, carving projected tuples from a growing arena
-// whose filled chunks become garbage once downstream consumers drop them.
+// decode pass without copying a row: the predicate (vectorized over the
+// reader's column vectors when a kernel compiled, row-at-a-time otherwise)
+// marks live rows in a reused selection vector, and a projection rides the
+// chunk as Proj over the stored window. Only consumers that keep rows copy
+// them (see Chunk).
 type scanCursor struct {
 	ctx  *Context
 	prep *scanPrep
 	r    *storage.ChunkReader
 	// cols is the reader's columnar face, nil under Context.NoVec so emitted
 	// chunks carry no column source and downstream stays fully scalar.
-	cols  types.ColSource
-	arena types.Arena
-	rows  []types.Tuple
-	sel   []int32
-	c     Chunk
+	cols types.ColSource
+	sel  []int32
+	c    Chunk
 }
 
 // filterWindow runs the fused predicate over the window and returns the
@@ -315,34 +312,18 @@ func (c *scanCursor) Next() (*Chunk, error) {
 				continue // a fully filtered window yields no chunk; keep pulling
 			}
 		}
-		if c.prep.projIdx == nil {
-			// Filter without projection: emit the stored window with its
-			// selection — no tuple-header copies. A full pass drops the
-			// selection so downstream stays on the dense fast path.
-			if len(sel) == len(win) {
-				sel = nil
-			}
-			c.c = Chunk{Rows: win, Sel: sel, Cols: c.cols}
-			return &c.c, nil
+		// Emit the stored window with its selection — no tuple-header copies.
+		// A full pass drops the selection so downstream stays on the dense
+		// fast path. A projection goes out as a view over the stored rows,
+		// without the column source (vectors align with stored columns).
+		if len(sel) == len(win) {
+			sel = nil
 		}
-		c.rows = c.rows[:0]
-		gather := func(t types.Tuple) {
-			pt := c.arena.Make(len(c.prep.projIdx))
-			for i, idx := range c.prep.projIdx {
-				pt[i] = t[idx]
-			}
-			c.rows = append(c.rows, pt)
-		}
-		if sel != nil {
-			for _, r := range sel {
-				gather(win[r])
-			}
+		if c.prep.projIdx != nil {
+			c.c = Chunk{Rows: win, Sel: sel, Proj: c.prep.projIdx}
 		} else {
-			for _, t := range win {
-				gather(t)
-			}
+			c.c = Chunk{Rows: win, Sel: sel, Cols: c.cols}
 		}
-		c.c = Chunk{Rows: c.rows}
 		return &c.c, nil
 	}
 }

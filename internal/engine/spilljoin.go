@@ -89,11 +89,14 @@ func (s *memSeq) next() (types.Tuple, uint64, int64, error) {
 
 // chunkSeq streams a probe chunk stream row-at-a-time for the spill join:
 // the adapter between the stage pipeline's chunked probe delivery and the
-// DHHJ's row-granular build/probe loops.
+// DHHJ's row-granular build/probe loops. The DHHJ keeps rows it cannot
+// probe yet (deferred to run files), so a view chunk's rows are gathered
+// into the adapter's arena as they pass.
 type chunkSeq struct {
-	st probeStream
-	c  *Chunk
-	i  int
+	st    probeStream
+	c     *Chunk
+	i     int
+	arena types.Arena
 }
 
 func (s *chunkSeq) next() (types.Tuple, uint64, int64, error) {
@@ -106,18 +109,14 @@ func (s *chunkSeq) next() (types.Tuple, uint64, int64, error) {
 		s.c, s.i = c, 0
 	}
 	// i walks the live rows: sidecars index directly, the tuple through the
-	// selection when one is present.
+	// selection and projection when present.
 	i := s.i
 	s.i++
 	sz := int64(-1)
 	if s.c.Sizes != nil {
 		sz = s.c.Sizes[i]
 	}
-	r := i
-	if s.c.Sel != nil {
-		r = int(s.c.Sel[i])
-	}
-	return s.c.Rows[r], s.c.Hashes[i], sz, nil
+	return s.c.row(i, &s.arena), s.c.Hashes[i], sz, nil
 }
 
 // fileSeq streams a run file, recomputing each row's key prehash (run
@@ -183,6 +182,10 @@ type spillJoin struct {
 
 	arena types.Arena
 	out   []types.Tuple
+	// one and oneHash hold the row being probed, so row-at-a-time probes
+	// run the shared joinInto loop over a one-row window without allocating.
+	one     [1]types.Tuple
+	oneHash [1]uint64
 	// emit, when set, receives output rows chunk-by-chunk (the streaming
 	// sink path); out then only buffers up to one chunk between flushes.
 	// Nil accumulates the whole partition's output in out (the batch path).
@@ -235,7 +238,7 @@ func spillJoinPartition(ctx *Context, p int, outWidth int,
 			var arena types.Arena
 			arena.Reserve(cnt * outWidth)
 			rows := make([]types.Tuple, 0, cnt)
-			return ht.joinInto(rows, &arena, pRows, pHash, pCols, buildFirst), nil
+			return ht.joinInto(rows, &arena, pRows, nil, nil, pHash, pCols, buildFirst), nil
 		}
 		// Cross-query pressure: the bytes were charged by the failed
 		// Reserve, so undo before taking the spilling path (which holds
@@ -497,7 +500,7 @@ func (j *spillJoin) run(level int, build, probe rowSeq, bSrc, pSrc *runSource) e
 			continue
 		}
 		probed++
-		j.out = ht.probeInto(j.out, &j.arena, t, h, j.pCols, j.buildFirst)
+		j.probe(ht, t, h)
 		if err := j.maybeFlush(); err != nil {
 			return err
 		}
@@ -771,7 +774,7 @@ func (j *spillJoin) probeResident(rb *residentBuild, probe rowSeq) error {
 			}
 		}
 		probed++
-		j.out = ht.probeInto(j.out, &j.arena, t, h, j.pCols, j.buildFirst)
+		j.probe(ht, t, h)
 		if err := j.maybeFlush(); err != nil {
 			return err
 		}
@@ -844,36 +847,9 @@ func (j *spillJoin) newFile(level, sub int, side string) (*storage.SpillFile, er
 	return j.ctx.Spill.Create(fmt.Sprintf("p%d_l%d_s%d_%s", j.part, level, sub, side))
 }
 
-// probeInto streams one probe row through the table, appending one arena
-// tuple per match to out — the single-row counterpart of joinInto for the
-// spill path, where probe rows arrive from a stream instead of a slice.
-//
-//dynopt:hotpath
-func (ht *hashTable) probeInto(out []types.Tuple, arena *types.Arena, pt types.Tuple, h uint64, probeCols []int, buildFirst bool) []types.Tuple {
-	starts, idx, hs, bRows := ht.starts, ht.idx, ht.hashes, ht.rows
-	singleKey := len(probeCols) == 1 && len(ht.keyCols) == 1
-	var bCol0, pCol0 int
-	if singleKey {
-		bCol0, pCol0 = ht.keyCols[0], probeCols[0]
-	}
-	b := h & ht.mask
-	for _, ri := range idx[starts[b]:starts[b+1]] {
-		if hs[ri] != h {
-			continue
-		}
-		bt := bRows[ri]
-		if singleKey {
-			if !bt[bCol0].Equal(pt[pCol0]) {
-				continue
-			}
-		} else if !bt.KeysEqual(ht.keyCols, pt, probeCols) {
-			continue
-		}
-		if buildFirst {
-			out = append(out, arena.Concat(bt, pt))
-		} else {
-			out = append(out, arena.Concat(pt, bt))
-		}
-	}
-	return out
+// probe streams one probe row through the table, appending its matches to
+// the output buffer.
+func (j *spillJoin) probe(ht *hashTable, t types.Tuple, h uint64) {
+	j.one[0], j.oneHash[0] = t, h
+	j.out = ht.joinInto(j.out, &j.arena, j.one[:], nil, nil, j.oneHash[:], j.pCols, j.buildFirst)
 }

@@ -36,16 +36,15 @@ type probeStream interface {
 
 // localStream adapts a partition cursor into a probe stream, computing key
 // prehashes (and per-row encoded sizes when metering needs them) chunk by
-// chunk into reusable buffers. Selection vectors pass through untouched —
-// the prehash and size sidecars are computed for the live rows only, via
-// the columnar hash when the cursor attached column vectors.
+// chunk into reusable buffers. Selection vectors and projections pass
+// through untouched — the prehash and size sidecars are computed for the
+// live rows only, through the projection on a view, via the columnar hash
+// when the cursor attached column vectors.
 type localStream struct {
 	cur       Cursor
-	keyCols   []int
+	keys      keyHasher
 	wantSizes bool
-	hashBuf   []uint64
 	sizeBuf   []int64
-	vecBuf    []*types.ColVec
 	c         Chunk
 }
 
@@ -54,21 +53,15 @@ func (s *localStream) next() (*Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.hashBuf, s.vecBuf = chunkKeyHashes(c, s.keyCols, s.hashBuf, s.vecBuf)
-	sc := Chunk{Rows: c.Rows, Sel: c.Sel, Hashes: s.hashBuf, Sizes: c.Sizes}
+	sc := Chunk{Rows: c.Rows, Sel: c.Sel, Proj: c.Proj, Hashes: s.keys.hash(c), Sizes: c.Sizes}
 	if s.wantSizes && sc.Sizes == nil {
-		if cap(s.sizeBuf) < c.Live() {
-			s.sizeBuf = make([]int64, 0, c.Live())
+		n := c.Live()
+		if cap(s.sizeBuf) < len(c.Rows) {
+			s.sizeBuf = make([]int64, len(c.Rows)) // window-sized, as keyHasher's buffer
 		}
-		s.sizeBuf = s.sizeBuf[:0]
-		if c.Sel != nil {
-			for _, r := range c.Sel {
-				s.sizeBuf = append(s.sizeBuf, int64(c.Rows[r].EncodedSize())) //dynopt:size-ok seeds the per-chunk Sizes cache every downstream consumer reuses
-			}
-		} else {
-			for _, t := range c.Rows {
-				s.sizeBuf = append(s.sizeBuf, int64(t.EncodedSize())) //dynopt:size-ok seeds the per-chunk Sizes cache every downstream consumer reuses
-			}
+		s.sizeBuf = s.sizeBuf[:n]
+		for k := range s.sizeBuf {
+			s.sizeBuf[k] = int64(c.stored(k).EncodedSizeCols(c.Proj)) //dynopt:size-ok seeds the per-chunk Sizes cache every downstream consumer reuses
 		}
 		sc.Sizes = s.sizeBuf
 	}
@@ -154,8 +147,9 @@ func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []
 		}
 	}()
 	bufs := make([]*Chunk, n)
-	var hashBuf []uint64
-	var vecBuf []*types.ColVec
+	keys := keyHasher{keyCols: keyCols}
+	// A view's rows are gathered here: the destination buffers keep them.
+	var arena types.Arena
 	var localRows, totalRows, localBytes, totalBytes int64
 	// The flush select also watches the caller's cancellation: with a
 	// stalled (injected or genuinely wedged) consumer the bounded channel
@@ -182,10 +176,10 @@ func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []
 	}
 	// route places one live row (whose prehash sits at sidecar index k) into
 	// its destination buffer, flushing the buffer when it fills. Declared
-	// once per producer — the chunk loop below reassigns hashBuf and the
-	// closure reads it through the captured variable.
+	// once per producer — the chunk loop below refills keys.hashes and the
+	// closure reads it through the captured hasher.
 	route := func(k int, t types.Tuple) error {
-		h := hashBuf[k]
+		h := keys.hashes[k]
 		d := int(h % uint64(n))
 		sz := int64(t.EncodedSize()) //dynopt:size-ok scatter seeds shuffle metering and downstream size hints in one walk
 		totalRows++
@@ -218,19 +212,10 @@ func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []
 		if err != nil {
 			return err
 		}
-		hashBuf, vecBuf = chunkKeyHashes(c, keyCols, hashBuf, vecBuf)
-		if c.Sel != nil {
-			//dynopt:hotpath
-			for k, r := range c.Sel {
-				if err := route(k, c.Rows[r]); err != nil {
-					return err
-				}
-			}
-			continue
-		}
+		keys.hash(c)
 		//dynopt:hotpath
-		for r, t := range c.Rows {
-			if err := route(r, t); err != nil {
+		for k, live := 0, c.Live(); k < live; k++ {
+			if err := route(k, c.row(k, &arena)); err != nil {
 				return err
 			}
 		}
@@ -405,6 +390,7 @@ func (ex *replicateExchange) produce(ctx *Context, src Source) (totalRows, total
 	if ctx.Cancel != nil {
 		cancelled = ctx.Cancel.Done()
 	}
+	var arena types.Arena // gathers view rows into the shared broadcast copy
 	for p := 0; p < src.Parts(); p++ {
 		cur, err := src.Open(p)
 		if err != nil {
@@ -426,10 +412,10 @@ func (ex *replicateExchange) produce(ctx *Context, src Source) (totalRows, total
 			if err := ctx.Faults.Fire(faults.Point("exchange.produce")); err != nil {
 				return totalRows, totalBytes, err
 			}
-			// Flatten any selection on the copy the consumers share: the
-			// broadcast copies headers anyway, so dead rows are dropped here
-			// rather than shipped to every destination.
-			out := &Chunk{Rows: c.appendLive(make([]types.Tuple, 0, c.Live()))}
+			// Flatten any selection and projection on the copy the consumers
+			// share: the broadcast copies rows anyway, so dead rows are
+			// dropped here rather than shipped to every destination.
+			out := &Chunk{Rows: c.appendLive(make([]types.Tuple, 0, c.Live()), &arena)}
 			totalRows += int64(len(out.Rows))
 			if hint < 0 {
 				for _, t := range out.Rows {
@@ -548,6 +534,7 @@ func materializeSource(ctx *Context, src Source) (*Relation, error) {
 			return err
 		}
 		var rows []types.Tuple
+		var arena types.Arena
 		for {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -559,7 +546,7 @@ func materializeSource(ctx *Context, src Source) (*Relation, error) {
 			if err != nil {
 				return err
 			}
-			rows = c.appendLive(rows)
+			rows = c.appendLive(rows, &arena)
 		}
 		out.Parts[p] = rows
 		return nil
@@ -594,11 +581,11 @@ func collectExchanged(ctx *Context, src Source, keyCols []int, wantSizes bool) (
 			return err
 		}
 		bs := make([]bucket, n)
-		var hashBuf []uint64
-		var vecBuf []*types.ColVec
+		keys := keyHasher{keyCols: keyCols}
+		var arena types.Arena // gathers view rows: the buckets keep them
 		var totalRows, totalBytes int64
 		place := func(k int, t types.Tuple) {
-			h := hashBuf[k]
+			h := keys.hashes[k]
 			d := int(h % uint64(n))
 			sz := int64(t.EncodedSize()) //dynopt:size-ok collect path seeds shuffle metering for exchanged partitions in one walk
 			totalRows++
@@ -622,15 +609,9 @@ func collectExchanged(ctx *Context, src Source, keyCols []int, wantSizes bool) (
 			if err != nil {
 				return err
 			}
-			hashBuf, vecBuf = chunkKeyHashes(c, keyCols, hashBuf, vecBuf)
-			if c.Sel != nil {
-				for k, r := range c.Sel {
-					place(k, c.Rows[r])
-				}
-				continue
-			}
-			for r, t := range c.Rows {
-				place(r, t)
+			keys.hash(c)
+			for k, live := 0, c.Live(); k < live; k++ {
+				place(k, c.row(k, &arena))
 			}
 		}
 		buckets[s] = bs

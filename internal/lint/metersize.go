@@ -15,7 +15,8 @@ import (
 var meterSizePackages = []string{"internal/engine", "internal/core", "internal/optimizer"}
 
 // MeterSize enforces the cached-size metering rule: no direct
-// Tuple/Value.EncodedSize (or legacy bytesOf) calls in operator packages.
+// Tuple/Value.EncodedSize, Tuple.EncodedSizeCols (the projected-row walk),
+// or legacy bytesOf calls in operator packages.
 // The one pass that legitimately walks rows to seed a size cache or a
 // metering counter carries //dynopt:size-ok <reason>.
 var MeterSize = &analysis.Analyzer{
@@ -50,7 +51,7 @@ func runMeterSize(pass *analysis.Pass) (any, error) {
 			case *ast.Ident:
 				name = fun.Name
 			}
-			if name != "EncodedSize" && name != "bytesOf" {
+			if name != "EncodedSize" && name != "EncodedSizeCols" && name != "bytesOf" {
 				return true
 			}
 			if dir, ok := dirs.covering(call.Pos(), dirSizeOK); ok {

@@ -6,10 +6,16 @@ type tuple []int
 
 func (t tuple) EncodedSize() int { return len(t) }
 
+func (t tuple) EncodedSizeCols(cols []int) int { return len(cols) }
+
 func bytesOf(t tuple) int { return len(t) }
 
 func bad(t tuple) int {
 	return t.EncodedSize() // want `direct EncodedSize call`
+}
+
+func projectedBad(t tuple) int {
+	return t.EncodedSizeCols([]int{0}) // want `direct EncodedSizeCols call`
 }
 
 func alsoBad(t tuple) int {

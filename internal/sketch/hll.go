@@ -4,16 +4,27 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 )
 
 // HLL is a HyperLogLog distinct-value sketch over pre-hashed 64-bit
 // observations. Precision p gives m = 2^p registers and a relative standard
 // error of about 1.04/sqrt(m); p = 12 (4096 registers, ~1.6% error) is the
 // default used by the statistics framework.
+//
+// Estimate is cached: the planner prices every candidate edge from the same
+// base-dataset sketches, and concurrent queries read them at once, so the
+// cache is an atomic word. Add and Merge mark it stale only when they raise
+// a register; concurrent Estimate calls on an unchanging sketch are safe.
 type HLL struct {
 	p         uint8
 	registers []uint8
+	est       atomic.Int64 // cached Estimate; estStale when a register rose since
 }
+
+// estStale marks the cached estimate as needing a recompute (estimates are
+// never negative).
+const estStale = -1
 
 // DefaultHLLPrecision is the register precision used by the statistics
 // framework (4096 registers, ≈1.6% standard error).
@@ -24,7 +35,9 @@ func NewHLL(p uint8) *HLL {
 	if p < 4 || p > 18 {
 		panic(fmt.Sprintf("sketch: invalid HLL precision %d", p))
 	}
-	return &HLL{p: p, registers: make([]uint8, 1<<p)}
+	h := &HLL{p: p, registers: make([]uint8, 1<<p)}
+	h.est.Store(estStale)
+	return h
 }
 
 // Precision returns the register precision.
@@ -52,11 +65,23 @@ func (h *HLL) Add(hash uint64) {
 	rho := uint8(bits.LeadingZeros64(rest)) + 1
 	if rho > h.registers[idx] {
 		h.registers[idx] = rho
+		h.est.Store(estStale)
 	}
 }
 
-// Estimate returns the approximate number of distinct observations added.
+// Estimate returns the approximate number of distinct observations added,
+// recomputing it only after a register rose.
 func (h *HLL) Estimate() int64 {
+	if e := h.est.Load(); e != estStale {
+		return e
+	}
+	e := h.estimate()
+	h.est.Store(e)
+	return e
+}
+
+// estimate computes the HyperLogLog estimate from the registers.
+func (h *HLL) estimate() int64 {
 	m := float64(len(h.registers))
 	var sum float64
 	zeros := 0
@@ -84,10 +109,15 @@ func (h *HLL) Merge(other *HLL) {
 	if other.p != h.p {
 		panic(fmt.Sprintf("sketch: HLL precision mismatch %d vs %d", h.p, other.p))
 	}
+	raised := false
 	for i, r := range other.registers {
 		if r > h.registers[i] {
 			h.registers[i] = r
+			raised = true
 		}
+	}
+	if raised {
+		h.est.Store(estStale)
 	}
 }
 
@@ -95,6 +125,7 @@ func (h *HLL) Merge(other *HLL) {
 func (h *HLL) Clone() *HLL {
 	out := &HLL{p: h.p, registers: make([]uint8, len(h.registers))}
 	copy(out.registers, h.registers)
+	out.est.Store(h.est.Load())
 	return out
 }
 

@@ -3,7 +3,9 @@ package sketch
 import (
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -170,5 +172,80 @@ func TestHLLString(t *testing.T) {
 	}
 	if h.Precision() != 8 {
 		t.Errorf("Precision() = %d", h.Precision())
+	}
+}
+
+// TestHLLEstimateCacheMatchesRecompute drives a seeded mix of Add, Merge,
+// Clone, and codec round trips — including Adds and Merges that raise no
+// register — and checks after every step that the cached Estimate equals a
+// fresh recompute from the registers.
+func TestHLLEstimateCacheMatchesRecompute(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	h := NewHLL(8)
+	check := func(step int, op string, s *HLL) {
+		t.Helper()
+		if got, want := s.Estimate(), s.estimate(); got != want {
+			t.Fatalf("step %d (%s): cached Estimate %d, recompute %d", step, op, got, want)
+		}
+	}
+	for step := 0; step < 5000; step++ {
+		switch k := rng.Intn(10); {
+		case k < 6:
+			// A narrow value domain makes most later Adds raise nothing.
+			h.Add(uint64(rng.Intn(2000)))
+			check(step, "add", h)
+		case k < 8:
+			o := NewHLL(8)
+			for i, n := 0, rng.Intn(50); i < n; i++ {
+				o.Add(uint64(rng.Intn(4000)))
+			}
+			if rng.Intn(2) == 0 {
+				o.Estimate() // merge from a sketch whose cache is warm
+			}
+			h.Merge(o)
+			check(step, "merge", h)
+		case k < 9:
+			c := h.Clone()
+			check(step, "clone", c)
+			c.Add(uint64(rng.Int63()))
+			check(step, "clone-add", c)
+			check(step, "clone-source", h)
+		default:
+			d, _, err := DecodeHLL(h.Encode(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(step, "decode", d)
+		}
+	}
+}
+
+// TestHLLEstimateConcurrentReaders reads one sketch's Estimate from several
+// goroutines at once, as concurrent queries read shared base-dataset stats;
+// run under -race it proves the cached estimate is race-free.
+func TestHLLEstimateConcurrentReaders(t *testing.T) {
+	h := NewHLL(DefaultHLLPrecision)
+	for i := 0; i < 10000; i++ {
+		h.Add(hash64("r" + strconv.Itoa(i)))
+	}
+	want := h.estimate()
+	var wg sync.WaitGroup
+	errs := make(chan int64, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := h.Estimate(); got != want {
+					errs <- got
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for got := range errs {
+		t.Errorf("concurrent Estimate = %d, want %d", got, want)
 	}
 }

@@ -161,6 +161,21 @@ func (t Tuple) EncodedSize() int {
 	return n
 }
 
+// EncodedSizeCols is EncodedSize of the tuple gathered at the given column
+// offsets (nil means every column, i.e. EncodedSize itself), without
+// building that tuple: a late-projected row is sized through its projection
+// with a result bit-identical to sizing the copied row.
+func (t Tuple) EncodedSizeCols(cols []int) int {
+	if cols == nil {
+		return t.EncodedSize()
+	}
+	n := 0
+	for _, c := range cols {
+		n += t[c].EncodedSize()
+	}
+	return n
+}
+
 // Clone returns a copy of the tuple with its own backing array.
 func (t Tuple) Clone() Tuple {
 	out := make(Tuple, len(t))

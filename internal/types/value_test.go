@@ -153,6 +153,34 @@ func TestEncodedSize(t *testing.T) {
 	}
 }
 
+// TestEncodedSizeCols pins the projected size to EncodedSize of the
+// gathered tuple: every kind, NULL, repeated and reordered columns, the
+// empty projection, and nil (every column).
+func TestEncodedSizeCols(t *testing.T) {
+	row := Tuple{Null(), Int(-7), Float(2.5), Str(""), Str("héllo"), Bool(false), Int(1 << 40)}
+	projs := [][]int{
+		nil,
+		{},
+		{0},
+		{3},
+		{4, 1},
+		{6, 5, 4, 3, 2, 1, 0},
+		{2, 2, 4, 0},
+	}
+	for _, proj := range projs {
+		gathered := row
+		if proj != nil {
+			gathered = make(Tuple, len(proj))
+			for j, c := range proj {
+				gathered[j] = row[c]
+			}
+		}
+		if got, want := row.EncodedSizeCols(proj), gathered.EncodedSize(); got != want {
+			t.Errorf("EncodedSizeCols(%v) = %d, want %d", proj, got, want)
+		}
+	}
+}
+
 func TestValueString(t *testing.T) {
 	cases := []struct {
 		v    Value
