@@ -9,19 +9,14 @@
 //	joinbench -spilljson FILE   memory-governed join sweep: per-node budget
 //	                            from ample down to 1/8 of the build side,
 //	                            real disk spilling, invariants checked
-//	joinbench -pipejson FILE    streaming-pipeline comparison: Figure-7
-//	                            queries end-to-end in batch vs chunked
-//	                            streaming mode, rows+counters equality
-//	                            checked, wall-clock and alloc medians
 //	joinbench -servejson FILE   plan-memo serving bench: repeated
 //	                            parameterized shapes with rotating bindings,
 //	                            cold (dynamic loop) vs hot (memo replay)
 //	                            queries/sec, hit-rate and row equality
 //	                            checked
 //	joinbench -vecjson FILE     vectorization snapshot: scalar-vs-vector
-//	                            predicate and hash micros plus the Figure-7
-//	                            queries streamed with column-major execution
-//	                            off and on, rows+counters equality checked
+//	                            predicate micros, identical selections
+//	                            checked
 //	joinbench -storagejson FILE disk-native storage sweep: cold-vs-warm
 //	                            paged scans through the byte-budgeted page
 //	                            cache, zone-map pruning on a selective
@@ -55,11 +50,10 @@ func main() {
 	ablation := flag.Bool("ablation", false, "broadcast-threshold ablation sweep")
 	joinJSON := flag.String("joinjson", "", "write a join micro-benchmark snapshot (ns/op, allocs/op) to this file")
 	spillJSON := flag.String("spilljson", "", "write a memory-budget spill sweep snapshot to this file")
-	pipeJSON := flag.String("pipejson", "", "write a streaming-vs-batch pipeline comparison snapshot to this file")
 	serveJSON := flag.String("servejson", "", "write a cold-vs-hot plan-memo serving snapshot to this file")
-	vecJSON := flag.String("vecjson", "", "write a scalar-vs-vector execution snapshot to this file")
+	vecJSON := flag.String("vecjson", "", "write a scalar-vs-vector predicate snapshot to this file")
 	storageJSON := flag.String("storagejson", "", "write a disk-native storage sweep snapshot to this file")
-	pipeRuns := flag.Int("runs", 5, "runs per mode for the -pipejson and -servejson medians")
+	pipeRuns := flag.Int("runs", 5, "runs per mode for the -servejson medians")
 	joinRows := flag.Int("joinrows", 50000, "fact rows for the -joinjson and -spilljson benchmarks")
 	sfFlag := flag.String("sf", "1,5,25", "comma-separated scale factors")
 	nodes := flag.Int("nodes", 10, "simulated cluster nodes")
@@ -150,20 +144,6 @@ func main() {
 				p.PeakGrantBytes, p.GrantCapacity, p.SimSeconds, p.WallSeconds)
 		}
 	}
-	if *pipeJSON != "" {
-		ran = true
-		fmt.Printf("== Streaming pipeline vs batch (sf %d, %d nodes, %d runs) -> %s ==\n",
-			sfs[0], *nodes, *pipeRuns, *pipeJSON)
-		pts, err := bench.WritePipelineJSON(*pipeJSON, sfs[0], *nodes, *pipeRuns)
-		if err != nil {
-			fatal(err)
-		}
-		for _, p := range pts {
-			fmt.Printf("  %-4s batch %8.2f ms  stream %8.2f ms  %+6.1f%%   alloc %10d -> %10d B (%+.1f%%)\n",
-				p.Query, p.BatchMedianMs, p.StreamMedianMs, p.ImprovementPct,
-				p.BatchAllocBytes, p.StreamAllocBytes, p.AllocSavedPct)
-		}
-	}
 	if *serveJSON != "" {
 		ran = true
 		fmt.Printf("== Plan-memo serving bench (sf %d, %d nodes, %d runs) -> %s ==\n",
@@ -179,24 +159,14 @@ func main() {
 	}
 	if *vecJSON != "" {
 		ran = true
-		fmt.Printf("== Vectorized execution vs scalar (sf %d, %d nodes, %d runs) -> %s ==\n",
-			sfs[0], *nodes, *pipeRuns, *vecJSON)
-		rep, err := bench.WriteVectorJSON(*vecJSON, sfs[0], *nodes, *pipeRuns)
+		fmt.Printf("== Vectorized predicate kernels vs scalar -> %s ==\n", *vecJSON)
+		rep, err := bench.WriteVectorJSON(*vecJSON)
 		if err != nil {
 			fatal(err)
 		}
 		for _, m := range rep.FilterMicros {
 			fmt.Printf("  filter %-14s sel %4.0f%%  scalar %6.2f ns/row  vector %6.2f ns/row  %5.2fx\n",
 				m.Name, 100*m.Selectivity, m.ScalarNsPerRow, m.VectorNsPerRow, m.Speedup)
-		}
-		for _, m := range rep.HashMicros {
-			fmt.Printf("  %-21s row %6.2f ns/row  columnar %6.2f ns/row  %5.2fx\n",
-				m.Name, m.ScalarNsPerRow, m.VectorNsPerRow, m.Speedup)
-		}
-		for _, p := range rep.E2E {
-			fmt.Printf("  %-4s scalar %8.2f ms  vector %8.2f ms  %+6.1f%%   alloc %10d -> %10d B\n",
-				p.Query, p.ScalarMedianMs, p.VectorMedianMs, p.ImprovementPct,
-				p.ScalarAllocBytes, p.VectorAllocBytes)
 		}
 	}
 	if *storageJSON != "" {

@@ -22,25 +22,32 @@ type goldenKey struct {
 
 // TestCountersGolden pins Metrics.Counters for all six strategies on the
 // four evaluation queries (TPC-DS Q17/Q50, TPC-H Q8/Q9) to a golden
-// snapshot. The accountant meters *modeled* work — shuffle, broadcast,
+// snapshot, without secondary indexes (Figure 7) and with them (Figure 8's
+// INLJ plans, cells keyed "indexed/<query>/<strategy>"). The accountant meters *modeled* work — shuffle, broadcast,
 // build/probe, materialization, spill — and that model must stay put while
 // the substrate underneath it gets faster: any performance work that shifts
 // these counters is changing query semantics or cost accounting, not just
 // CPU time. Regenerate deliberately with `go test -run CountersGolden
 // -update` and justify the diff.
 func TestCountersGolden(t *testing.T) {
-	env, err := bench.NewEnv(1, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := map[string]cluster.Snapshot{}
-	for _, q := range bench.Queries() {
-		for _, s := range env.Strategies() {
-			rep, err := env.RunOne(s, q.SQL)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", q.Name, s.Name(), err)
+	for _, indexed := range []bool{false, true} {
+		env, err := bench.NewEnv(1, 4, indexed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := ""
+		if indexed {
+			prefix = "indexed/"
+		}
+		for _, q := range bench.Queries() {
+			for _, s := range env.Strategies() {
+				rep, err := env.RunOne(s, q.SQL)
+				if err != nil {
+					t.Fatalf("%s%s/%s: %v", prefix, q.Name, s.Name(), err)
+				}
+				got[prefix+q.Name+"/"+s.Name()] = rep.Counters
 			}
-			got[q.Name+"/"+s.Name()] = rep.Counters
 		}
 	}
 	path := filepath.Join("testdata", "counters_golden.json")

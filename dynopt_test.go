@@ -96,6 +96,23 @@ func TestQueryUnknownStrategy(t *testing.T) {
 	}
 }
 
+// TestMalformedQueryErrorNamesTheQuery: a syntax error in the caller's SQL
+// is reported as the caller's query failing to parse, not as a failure of a
+// query the dynamic loop reconstructed after a stage.
+func TestMalformedQueryErrorNamesTheQuery(t *testing.T) {
+	db := testDB(t)
+	_, err := db.Query("SELECT u.id FROM users u WHERE", nil)
+	if err == nil {
+		t.Fatal("malformed query did not error")
+	}
+	if strings.Contains(err.Error(), "reconstructed") {
+		t.Errorf("error blames a reconstructed query: %v", err)
+	}
+	if !strings.Contains(err.Error(), "parse") {
+		t.Errorf("error does not say the query failed to parse: %v", err)
+	}
+}
+
 func TestRegisterUDFAndParams(t *testing.T) {
 	db := testDB(t)
 	err := db.RegisterUDF("grp_of", func(args []Value) (Value, error) {

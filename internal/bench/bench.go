@@ -56,14 +56,6 @@ type Env struct {
 	base    *catalog.Catalog
 	udfs    *expr.Registry
 	indexed bool
-	// Batch runs every strategy in whole-relation batch mode instead of the
-	// chunked streaming pipeline — the reference the equivalence tests and
-	// the pipeline benchmark compare against.
-	Batch bool
-	// NoVec disables column-major execution (vector predicate kernels and
-	// columnar key hashing) while staying on the streaming pipeline — the
-	// ablation the vectorization benchmark prices.
-	NoVec bool
 	// pageCache is the shared page cache ConvertPaged installed (nil while
 	// resident or uncached).
 	pageCache *storage.PageCache
@@ -151,8 +143,6 @@ func (e *Env) Fresh() *engine.Context {
 		Catalog:   e.base.CloneBases(),
 		UDFs:      e.udfs,
 		Params:    map[string]types.Value{},
-		Batch:     e.Batch,
-		NoVec:     e.NoVec,
 		PageStats: &storage.PageScanStats{},
 	}
 }
@@ -192,7 +182,7 @@ func (e *Env) RunOne(s core.Strategy, sql string) (*core.Report, error) {
 }
 
 // RunOneResult executes one strategy over a fresh context and also returns
-// the query result (the equivalence tests compare rows across modes).
+// the query result (the equivalence tests compare rows against a reference).
 func (e *Env) RunOneResult(s core.Strategy, sql string) (*engine.Result, *core.Report, error) {
 	ctx := e.Fresh()
 	res, rep, err := s.Run(ctx, sql)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -194,4 +195,13 @@ func WriteServeJSON(path string, sf, nodes, runs int) ([]ServePoint, error) {
 		return nil, err
 	}
 	return res, os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+func medianF(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[len(s)/2]
 }

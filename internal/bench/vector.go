@@ -4,52 +4,29 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
-	"dynopt/internal/core"
 	"dynopt/internal/expr"
 	"dynopt/internal/types"
 )
 
-// VectorMicro is one scalar-vs-vector substrate measurement: the same work
-// (predicate evaluation or join-key prehashing) over the same rows, once
-// through the row-at-a-time scalar path and once through the columnar
-// kernels — gather cost included, since the scan pays it per window.
+// VectorMicro is one scalar-vs-vector substrate measurement: the same
+// predicate over the same rows, once through the row-at-a-time scalar path
+// and once through the columnar kernel — gather cost included, since the
+// scan pays it per window.
 type VectorMicro struct {
 	Name           string  `json:"name"`
 	Rows           int     `json:"rows"`
-	Selectivity    float64 `json:"selectivity,omitempty"` // live fraction (filter micros)
+	Selectivity    float64 `json:"selectivity,omitempty"` // live fraction
 	ScalarNsPerRow float64 `json:"scalar_ns_per_row"`
 	VectorNsPerRow float64 `json:"vector_ns_per_row"`
 	Speedup        float64 `json:"speedup"` // scalar / vector
 }
 
-// VectorE2EPoint is one Figure-7 query run end-to-end on the streaming
-// pipeline with column-major execution ablated (Context.NoVec) and enabled,
-// with identical rows and counters required across the two — the delta is
-// what the kernels and the columnar prehash buy on a whole query.
-type VectorE2EPoint struct {
-	Query            string  `json:"query"`
-	SF               int     `json:"sf"`
-	Nodes            int     `json:"nodes"`
-	Runs             int     `json:"runs"`
-	Rows             int64   `json:"rows"`
-	ScalarMedianMs   float64 `json:"scalar_median_ms"` // NoVec streaming
-	VectorMedianMs   float64 `json:"vector_median_ms"` // default streaming
-	ImprovementPct   float64 `json:"improvement_pct"`  // (scalar-vector)/scalar × 100
-	ScalarAllocBytes int64   `json:"scalar_alloc_bytes"`
-	VectorAllocBytes int64   `json:"vector_alloc_bytes"`
-}
-
 // VectorReport is the BENCH_vector.json snapshot.
 type VectorReport struct {
-	WindowRows   int              `json:"window_rows"` // micro chunk capacity
-	FilterMicros []VectorMicro    `json:"filter_micros"`
-	HashMicros   []VectorMicro    `json:"hash_micros"`
-	E2E          []VectorE2EPoint `json:"e2e"`
+	WindowRows   int           `json:"window_rows"` // micro chunk capacity
+	FilterMicros []VectorMicro `json:"filter_micros"`
 }
 
 // vecBenchRows builds the micro-benchmark table: int, float, and string
@@ -204,156 +181,19 @@ func FilterMicros(rows, window int) ([]VectorMicro, error) {
 	return out, nil
 }
 
-// HashMicros prices the columnar join-key prehash (gather + HashColsInto)
-// against row-at-a-time Tuple.HashKeys, over the key-arity shapes the
-// exchanges and joins actually hash.
-func HashMicros(rows, window int) ([]VectorMicro, error) {
-	data, sch := vecBenchRows(rows)
-	cases := []struct {
-		name string
-		keys []int
-	}{
-		{"hash-1key-int", []int{0}},
-		{"hash-2key-int-int", []int{0, 1}},
-		{"hash-2key-int-str", []int{0, 3}},
-	}
-	out := make([]VectorMicro, 0, len(cases))
-	cache := types.NewColCache(sch)
-	var dst []uint64
-	vecs := make([]*types.ColVec, 0, 2)
-	for _, c := range cases {
-		rowPass := func() error {
-			for off := 0; off < len(data); off += window {
-				end := off + window
-				if end > len(data) {
-					end = len(data)
-				}
-				dst = types.HashKeysInto(data[off:end], c.keys, dst)
-			}
-			return nil
-		}
-		colPass := func() error {
-			for off := 0; off < len(data); off += window {
-				end := off + window
-				if end > len(data) {
-					end = len(data)
-				}
-				win := data[off:end]
-				cache.SetWindow(win)
-				vecs = vecs[:0]
-				for _, k := range c.keys {
-					v := cache.Col(k)
-					if v.Mixed {
-						return fmt.Errorf("bench: %s: unexpected mixed column %d", c.name, k)
-					}
-					vecs = append(vecs, v)
-				}
-				dst = types.HashColsInto(vecs, nil, len(win), dst)
-			}
-			return nil
-		}
-		m := VectorMicro{Name: c.name, Rows: rows}
-		var err error
-		if m.ScalarNsPerRow, err = nsPerRow(rows, rowPass); err != nil {
-			return nil, err
-		}
-		if m.VectorNsPerRow, err = nsPerRow(rows, colPass); err != nil {
-			return nil, err
-		}
-		if m.VectorNsPerRow > 0 {
-			m.Speedup = m.ScalarNsPerRow / m.VectorNsPerRow
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-// VectorE2E runs the Figure-7 queries on the streaming pipeline with
-// column-major execution off (Context.NoVec) and on, alternating modes,
-// requiring identical rows and counters — the ablation form of
-// PipelineCompare.
-func VectorE2E(sf, nodes, runs int) ([]VectorE2EPoint, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	env, err := NewEnv(sf, nodes, false)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]VectorE2EPoint, 0, 4)
-	for _, q := range Queries() {
-		pt := VectorE2EPoint{Query: q.Name, SF: sf, Nodes: nodes, Runs: runs}
-		var wall [2][]float64 // [scalar (NoVec), vector] ms per run
-		var alloc [2][]int64
-		var refRows []string
-		var refCounters any
-		for r := -1; r < runs; r++ {
-			for mode := 0; mode < 2; mode++ {
-				env.NoVec = mode == 0
-				runtime.GC()
-				var msBefore, msAfter runtime.MemStats
-				runtime.ReadMemStats(&msBefore)
-				start := time.Now()
-				res, rep, err := env.RunOneResult(core.NewDynamic(), q.SQL)
-				elapsed := time.Since(start)
-				runtime.ReadMemStats(&msAfter)
-				if err != nil {
-					return nil, err
-				}
-				if r >= 0 {
-					wall[mode] = append(wall[mode], float64(elapsed.Microseconds())/1000)
-					alloc[mode] = append(alloc[mode], int64(msAfter.TotalAlloc-msBefore.TotalAlloc))
-				}
-				rows := make([]string, len(res.Rows))
-				for i, t := range res.Rows {
-					rows[i] = t.String()
-				}
-				if refRows == nil {
-					refRows, refCounters = rows, rep.Counters
-					pt.Rows = int64(len(rows))
-					continue
-				}
-				if !reflect.DeepEqual(rows, refRows) {
-					return nil, fmt.Errorf("bench: %s rows diverged with NoVec=%v (run %d)", q.Name, env.NoVec, r)
-				}
-				if !reflect.DeepEqual(rep.Counters, refCounters) {
-					return nil, fmt.Errorf("bench: %s counters diverged with NoVec=%v (run %d):\n got %+v\nwant %+v",
-						q.Name, env.NoVec, r, rep.Counters, refCounters)
-				}
-			}
-		}
-		env.NoVec = false
-		pt.ScalarMedianMs = medianF(wall[0])
-		pt.VectorMedianMs = medianF(wall[1])
-		pt.ScalarAllocBytes = medianI(alloc[0])
-		pt.VectorAllocBytes = medianI(alloc[1])
-		if pt.ScalarMedianMs > 0 {
-			pt.ImprovementPct = 100 * (pt.ScalarMedianMs - pt.VectorMedianMs) / pt.ScalarMedianMs
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
-// VectorCompare assembles the full vectorization report: substrate micros at
-// the default chunk capacity plus the Figure-7 end-to-end ablation. The micro
-// table is sized cache-resident (16K rows ≈ 2.5MB with payloads): the micros
-// price kernel dispatch against per-row scalar dispatch — the quantity the
-// vectorized path actually changes — and a DRAM-latency-bound working set
-// would charge the same pointer-chase stall to both arms and compress the
-// ratio toward 1. In the pipeline a chunk is consumed right after its
-// producer touched it, so cache-hot is also the representative state.
-func VectorCompare(sf, nodes, runs int) (*VectorReport, error) {
+// VectorCompare assembles the vectorization report: the filter micros at
+// the default chunk capacity. The micro table is sized cache-resident (16K
+// rows ≈ 2.5MB with payloads): the micros price kernel dispatch against
+// per-row scalar dispatch — the quantity the vectorized path actually
+// changes — and a DRAM-latency-bound working set would charge the same
+// pointer-chase stall to both arms and compress the ratio toward 1. In the
+// pipeline a chunk is consumed right after its producer touched it, so
+// cache-hot is also the representative state.
+func VectorCompare() (*VectorReport, error) {
 	const microRows, window = 16384, 1024
 	rep := &VectorReport{WindowRows: window}
 	var err error
 	if rep.FilterMicros, err = FilterMicros(microRows, window); err != nil {
-		return nil, err
-	}
-	if rep.HashMicros, err = HashMicros(microRows, window); err != nil {
-		return nil, err
-	}
-	if rep.E2E, err = VectorE2E(sf, nodes, runs); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -361,8 +201,8 @@ func VectorCompare(sf, nodes, runs int) (*VectorReport, error) {
 
 // WriteVectorJSON runs VectorCompare and writes the BENCH_vector.json
 // snapshot to path.
-func WriteVectorJSON(path string, sf, nodes, runs int) (*VectorReport, error) {
-	rep, err := VectorCompare(sf, nodes, runs)
+func WriteVectorJSON(path string) (*VectorReport, error) {
+	rep, err := VectorCompare()
 	if err != nil {
 		return nil, err
 	}

@@ -75,15 +75,33 @@ type runState struct {
 }
 
 // reanalyze re-parses the current SQL text and re-runs semantic analysis —
-// the loop back through the SQL++ parser in Figure 2.
+// the loop back through the SQL++ parser in Figure 2. Its errors name a
+// query the loop itself reconstructed, with the text attached; the first
+// pass over the caller's query goes through analyzeQuery instead.
 func (rs *runState) reanalyze() error {
+	if err := rs.analyze(); err != nil {
+		return fmt.Errorf("core: reconstructed query failed %w\n%s", err, rs.sql)
+	}
+	return nil
+}
+
+// analyzeQuery parses and analyzes the caller's SQL text — the loop's first
+// graph.
+func (rs *runState) analyzeQuery() error {
+	if err := rs.analyze(); err != nil {
+		return fmt.Errorf("core: query failed %w", err)
+	}
+	return nil
+}
+
+func (rs *runState) analyze() error {
 	q, err := sqlpp.Parse(rs.sql)
 	if err != nil {
-		return fmt.Errorf("core: re-parse of reconstructed query failed: %w\n%s", err, rs.sql)
+		return fmt.Errorf("to parse: %w", err)
 	}
 	g, err := sqlpp.Analyze(q, rs.ctx.Catalog.Resolver())
 	if err != nil {
-		return fmt.Errorf("core: re-analysis of reconstructed query failed: %w\n%s", err, rs.sql)
+		return fmt.Errorf("analysis: %w", err)
 	}
 	rs.g = g
 	return nil
@@ -169,9 +187,9 @@ func (rs *runState) pushDownPredicates(all bool) (int, error) {
 // its full local filter and the needed-column projection, materialize as a
 // temp with statistics on every retained column (they all participate in the
 // remaining query, by construction of the projection list), and reconstruct
-// the query text. In streaming mode the scan's decode pass feeds the Sink
-// chunk-by-chunk — filter, projection, statistics, and write metering in
-// one pass, with no intermediate relation.
+// the query text. The scan's decode pass feeds the Sink chunk-by-chunk —
+// filter, projection, statistics, and write metering in one pass, with no
+// intermediate relation.
 func (rs *runState) executePushDown(alias string) error {
 	info := rs.currentTable(alias)
 	if info == nil {
@@ -197,30 +215,17 @@ func (rs *runState) executePushDown(alias string) error {
 		}
 		return fields
 	}
-	var tds *storage.Dataset
-	var tst *stats.DatasetStats
-	if rs.ctx.Batch {
-		rel, err := engine.Scan(rs.ctx, ds, alias, info.Filter, info.Project)
-		if err != nil {
-			return err
-		}
-		tds, tst, err = engine.Materialize(rs.ctx, rel, tempName, statsFor(rel.Schema))
-		if err != nil {
-			return err
-		}
-	} else {
-		src, err := engine.ScanSource(rs.ctx, ds, alias, info.Filter, info.Project)
-		if err != nil {
-			return err
-		}
-		sink := engine.NewStreamSink(rs.ctx, src.Schema(), src.Parts(), tempName, statsFor(src.Schema()), src.PartCols())
-		if err := engine.RunToSink(rs.ctx, src, sink); err != nil {
-			return err
-		}
-		tds, tst, err = sink.Finish()
-		if err != nil {
-			return err
-		}
+	src, err := engine.ScanSource(rs.ctx, ds, alias, info.Filter, info.Project)
+	if err != nil {
+		return err
+	}
+	sink := engine.NewStreamSink(rs.ctx, src.Schema(), src.Parts(), tempName, statsFor(src.Schema()), src.PartCols())
+	if err := engine.RunToSink(rs.ctx, src, sink); err != nil {
+		return err
+	}
+	tds, tst, err := sink.Finish()
+	if err != nil {
+		return err
 	}
 	// The flattened names are alias_col; rename back to bare col so the
 	// reconstructed query's alias.col references still resolve: the
@@ -471,25 +476,9 @@ func (rs *runState) executeJoinStage(edge *sqlpp.JoinEdge, estCard int64, tables
 		pagesBefore = rs.ctx.PageStats.PagesTotal.Load()
 		prunedBefore = rs.ctx.PageStats.PagesPruned.Load()
 	}
-	var err error
-	var tds *storage.Dataset
-	var tst *stats.DatasetStats
-	var relSchema *types.Schema
-	if rs.ctx.Batch {
-		rel, err := rs.runJoinJob(edge, lt, rt, algo, buildLeft)
-		if err != nil {
-			return err
-		}
-		relSchema = rel.Schema
-		tds, tst, err = engine.Materialize(rs.ctx, rel, tempName, statsFields)
-		if err != nil {
-			return err
-		}
-	} else {
-		tds, tst, relSchema, err = rs.runJoinJobStream(edge, lt, rt, algo, buildLeft, tempName, statsFields)
-		if err != nil {
-			return err
-		}
+	tds, tst, relSchema, err := rs.runStageJoin(edge, lt, rt, algo, buildLeft, tempName, statsFields)
+	if err != nil {
+		return err
 	}
 	// Figure-2 feedback: what this stage actually spilled informs the next
 	// stage's join pick.
@@ -574,74 +563,14 @@ func (rs *runState) executeJoinStage(edge *sqlpp.JoinEdge, estCard int64, tables
 	return rs.reanalyze()
 }
 
-// runJoinJob executes the physical join between two current tables,
-// pipelining their scans into the join operators.
-func (rs *runState) runJoinJob(edge *sqlpp.JoinEdge, lt, rt *TableInfo, algo plan.Algo, buildLeft bool) (*engine.Relation, error) {
-	lkeys := make([]string, len(edge.LeftFields))
-	rkeys := make([]string, len(edge.RightFields))
-	for i := range edge.LeftFields {
-		lkeys[i] = edge.LeftAlias + "." + edge.LeftFields[i]
-		rkeys[i] = edge.RightAlias + "." + edge.RightFields[i]
-	}
-	switch algo {
-	case plan.AlgoIndexNL:
-		// Build (broadcast) side is executed as a scan; the inner is probed
-		// through its index in place.
-		outerInfo, innerInfo := lt, rt
-		outerKeys, innerFields := lkeys, edge.RightFields
-		if !buildLeft {
-			outerInfo, innerInfo = rt, lt
-			outerKeys, innerFields = rkeys, edge.LeftFields
-		}
-		innerDS, err := datasetOf(rs.ctx.Catalog, innerInfo)
-		if err != nil {
-			return nil, err
-		}
-		outerDS, err := datasetOf(rs.ctx.Catalog, outerInfo)
-		if err != nil {
-			return nil, err
-		}
-		outer, err := engine.Scan(rs.ctx, outerDS, outerInfo.Alias, outerInfo.Filter, outerInfo.Project)
-		if err != nil {
-			return nil, err
-		}
-		// The result is outer⧺inner; both halves carry their alias
-		// qualifiers, so downstream flattening and reconstruction are
-		// orientation-independent.
-		return engine.IndexNLJoin(rs.ctx, outer, innerDS, innerInfo.Alias, outerKeys, innerFields, innerInfo.Filter)
-	default:
-		lds, err := datasetOf(rs.ctx.Catalog, lt)
-		if err != nil {
-			return nil, err
-		}
-		rds, err := datasetOf(rs.ctx.Catalog, rt)
-		if err != nil {
-			return nil, err
-		}
-		left, err := engine.Scan(rs.ctx, lds, lt.Alias, lt.Filter, lt.Project)
-		if err != nil {
-			return nil, err
-		}
-		right, err := engine.Scan(rs.ctx, rds, rt.Alias, rt.Filter, rt.Project)
-		if err != nil {
-			return nil, err
-		}
-		if algo == plan.AlgoBroadcast {
-			return engine.BroadcastJoin(rs.ctx, left, right, lkeys, rkeys, buildLeft)
-		}
-		return engine.HashJoin(rs.ctx, left, right, lkeys, rkeys, buildLeft)
-	}
-}
-
-// runJoinJobStream executes one stage as a single chunked pipeline: the
-// build side scans into a relation (a hash table must hold it anyway), the
-// probe side streams scan→exchange→probe chunk-by-chunk, and the output
-// flows into a StreamSink that observes statistics, meters the temp write,
-// and lands the partitions — the whole stage is one pass over the probe
-// side with no probe relation and no sink re-walk. Metering totals are
-// identical to runJoinJob+Materialize; only the materializations between
-// re-optimization points remain.
-func (rs *runState) runJoinJobStream(edge *sqlpp.JoinEdge, lt, rt *TableInfo, algo plan.Algo, buildLeft bool,
+// runStageJoin executes one stage as a single chunked pipeline: the build
+// side scans into a relation (a hash table must hold it anyway), the probe
+// side streams scan→exchange→probe chunk-by-chunk, and the output flows
+// into a StreamSink that observes statistics, meters the temp write, and
+// lands the partitions — the whole stage is one pass over the probe side
+// with no probe relation and no sink re-walk; only the materializations
+// between re-optimization points remain.
+func (rs *runState) runStageJoin(edge *sqlpp.JoinEdge, lt, rt *TableInfo, algo plan.Algo, buildLeft bool,
 	tempName string, statsFields map[string]bool) (*storage.Dataset, *stats.DatasetStats, *types.Schema, error) {
 	lkeys := make([]string, len(edge.LeftFields))
 	rkeys := make([]string, len(edge.RightFields))

@@ -33,8 +33,8 @@ func (c *Context) chunkRows() int {
 
 // Chunk is one batch of tuples flowing through a stage pipeline, with
 // optional sidecars the producer computed anyway: a selection vector, a
-// late projection, typed column vectors, join-key prehashes (exchange
-// scatter), and per-row encoded byte sizes (shuffle metering). A chunk
+// late projection, join-key prehashes (exchange scatter), and per-row
+// encoded byte sizes (shuffle metering). A chunk
 // handed out by a Cursor is valid only until the next Next call.
 //
 // Selection: when Sel is non-nil it lists the live row indexes into Rows,
@@ -54,7 +54,7 @@ func (c *Context) chunkRows() int {
 // row into the consumer's arena: RunToSink, the exchange scatter and
 // collect loops, the broadcast replicate producer, materializeSource and
 // pagedScanInto, and the spill join's chunkSeq adapter. Hashes and Sizes
-// are always of the projected (logical) row. A view chunk carries no Cols.
+// are always of the projected (logical) row.
 //
 // Kept rows share value storage with the producer (arena- or
 // dataset-backed, valid for the execution); a consumer retaining rows
@@ -65,11 +65,6 @@ type Chunk struct {
 	Proj   []int    // logical column j of a row is Rows[i][Proj[j]]; nil = identity
 	Hashes []uint64 // key prehashes aligned with live rows, nil when not computed
 	Sizes  []int64  // encoded byte sizes aligned with live rows, nil when not computed
-	// Cols serves typed column vectors over Rows (NOT selection-filtered:
-	// vectors align with Rows, and consumers apply Sel themselves). Nil when
-	// the producer has no columnar form, and always nil on a view (Proj set);
-	// valid until the next Next call.
-	Cols types.ColSource
 }
 
 // Live returns the number of live rows in the chunk.
@@ -118,17 +113,11 @@ func (c *Chunk) appendLive(dst []types.Tuple, arena *types.Arena) []types.Tuple 
 // keyHasher computes chunks' join-key prehashes into a reused buffer,
 // aligned with the live rows. keyCols are logical columns; on a view they
 // resolve through Proj to stored offsets, so a projected row hashes exactly
-// as its gathered copy would. When the producer attached a columnar form
-// and every key column gathers cleanly, the hash runs a column at a time
-// (types.HashColsInto — bit-identical to the row form); Mixed columns or
-// row-only chunks take the row path. String key columns decline too:
-// gathering string headers costs more than the per-value kind dispatch the
-// columnar fold saves, so row hashing wins there.
+// as its gathered copy would.
 type keyHasher struct {
 	keyCols []int
 	hashes  []uint64
-	vecs    []*types.ColVec // gathered key vectors (columnar path scratch)
-	stored  []int           // keyCols resolved through a view's Proj
+	stored  []int // keyCols resolved through a view's Proj
 }
 
 func (h *keyHasher) hash(c *Chunk) []uint64 {
@@ -137,22 +126,6 @@ func (h *keyHasher) hash(c *Chunk) []uint64 {
 		// per window, and growing to each new maximum would allocate on
 		// every larger one.
 		h.hashes = make([]uint64, 0, len(c.Rows))
-	}
-	if c.Cols != nil {
-		h.vecs = h.vecs[:0]
-		clean := true
-		for _, kc := range h.keyCols {
-			v := c.Cols.Col(kc)
-			if v == nil || v.Mixed || v.Kind == types.KindString {
-				clean = false
-				break
-			}
-			h.vecs = append(h.vecs, v)
-		}
-		if clean {
-			h.hashes = types.HashColsInto(h.vecs, c.Sel, len(c.Rows), h.hashes)
-			return h.hashes
-		}
 	}
 	cols := h.keyCols
 	if c.Proj != nil {
@@ -267,15 +240,14 @@ func RunToSink(ctx *Context, src Source, sink Sink) error {
 // relationSource adapts a materialized Relation to the Source interface:
 // cursors slide fixed-capacity windows over the partition slices, zero-copy.
 type relationSource struct {
-	rel   *Relation
-	rows  int
-	noVec bool
+	rel  *Relation
+	rows int
 }
 
 // SourceOf returns a streaming view over a materialized relation, windowed
 // at the execution's configured chunk capacity.
 func SourceOf(ctx *Context, rel *Relation) Source {
-	return &relationSource{rel: rel, rows: ctx.chunkRows(), noVec: ctx.NoVec}
+	return &relationSource{rel: rel, rows: ctx.chunkRows()}
 }
 
 func (s *relationSource) Schema() *types.Schema { return s.rel.Schema }
@@ -283,29 +255,21 @@ func (s *relationSource) Parts() int            { return len(s.rel.Parts) }
 func (s *relationSource) PartCols() []int       { return s.rel.PartCols }
 
 // PartBytesHint reports cached sizes only: forcing the relation's lazy size
-// pass here would re-add the whole-relation walk streaming exists to avoid.
-// Consumers fall back to summing per-row sizes, which costs the same walk
-// the batch path would have paid lazily.
+// pass here would add a whole-relation walk before the first chunk.
+// Consumers fall back to summing per-row sizes as the rows stream past.
 func (s *relationSource) PartBytesHint(p int) int64 {
 	return s.rel.sizes.PartIfKnown(p)
 }
 
 func (s *relationSource) Open(p int) (Cursor, error) {
-	cur := &sliceCursor{rows: s.rel.Parts[p], size: s.rows}
-	if !s.noVec {
-		cur.cols = types.NewColCache(s.rel.Schema)
-	}
-	return cur, nil
+	return &sliceCursor{rows: s.rel.Parts[p], size: s.rows}, nil
 }
 
-// sliceCursor windows an in-memory row slice into chunks, with the same
-// lazy columnar access a storage ChunkReader provides — relation-backed
-// probe sides feed the columnar prehash too.
+// sliceCursor windows an in-memory row slice into chunks.
 type sliceCursor struct {
 	rows []types.Tuple
 	size int
 	off  int
-	cols *types.ColCache
 	c    Chunk
 }
 
@@ -313,16 +277,8 @@ func (c *sliceCursor) Next() (*Chunk, error) {
 	if c.off >= len(c.rows) {
 		return nil, io.EOF
 	}
-	end := c.off + c.size
-	if end > len(c.rows) {
-		end = len(c.rows)
-	}
-	win := c.rows[c.off:end]
+	end := min(c.off+c.size, len(c.rows))
+	c.c = Chunk{Rows: c.rows[c.off:end]}
 	c.off = end
-	c.c = Chunk{Rows: win}
-	if c.cols != nil {
-		c.cols.SetWindow(win)
-		c.c.Cols = c.cols
-	}
 	return &c.c, nil
 }

@@ -49,23 +49,11 @@ type Context struct {
 	// Grant is this query's reservation against the cluster memory governor.
 	// Nil (single-client and test contexts) disables governance metering.
 	Grant *cluster.Grant
-	// Batch disables the chunked streaming pipeline and runs every operator
-	// in whole-relation batch mode — the reference implementation the
-	// streaming property tests compare against. Both modes meter identical
-	// counters and produce identical rows; streaming (the default) avoids
-	// materializing probe sides and re-walking sink inputs.
-	Batch bool
 	// ChunkRows is the streaming pipeline's chunk capacity in rows. Zero or
 	// negative selects defaultChunkRows; Open validates the configured value
 	// once so every operator can trust chunkRows() > 0. Tests shrink it to
 	// push chunk-boundary edge cases through the real configuration path.
 	ChunkRows int
-	// NoVec disables column-major execution: scans stop attaching column
-	// sources to their chunks and predicates never compile to vector kernels,
-	// forcing the row-at-a-time scalar paths everywhere. Results and counters
-	// are identical either way — this is the ablation knob the vectorization
-	// benchmark uses to price the kernels, not a semantic switch.
-	NoVec bool
 	// Faults is the query's fault-injection registry (nil in production):
 	// the engine-layer injection points — exchange sends and receives,
 	// scan-cursor opens, probe drains, sink seals — fire against it.

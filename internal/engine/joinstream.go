@@ -10,13 +10,14 @@ import (
 	"dynopt/internal/types"
 )
 
-// This file holds the streaming join executors: the build side arrives as a
-// materialized Relation or a Source whose scan fuses into the exchange (a
-// hash table must hold it either way), the probe side as a chunk Source,
-// and the output flows into a Sink chunk-by-chunk — one pass from scan to
-// sink with no probe-side relation and no output re-walk. The
-// Relation-in/Relation-out entry points in join.go stay batch: with both
-// sides already materialized there is nothing left to stream.
+// This file holds the join executors — the only implementation of each
+// join. The build side arrives as a materialized Relation or a Source whose
+// scan fuses into the exchange (a hash table must hold it either way), the
+// probe side as a chunk Source, and the output flows into a Sink
+// chunk-by-chunk — one pass from scan to sink with no probe-side relation
+// and no output re-walk. The Relation-in/Relation-out entry points in
+// join.go are adapters over these: SourceOf windows the materialized input,
+// and a relationSink collects the output.
 
 // probeState runs one destination partition's probe loop over a hash
 // table: per chunk, join matches into a reusable buffer and emit. One
@@ -43,11 +44,9 @@ func (w *probeState) consume(c *Chunk) error {
 			w.probeBytes += sz
 		}
 	}
-	// No counting pre-pass: the batch path pre-counts matches to exactly
-	// size a whole partition's output, but a chunk's output lives in a
-	// reusable buffer whose capacity converges after a few chunks, and the
-	// arena grows geometrically — so the streaming probe pays one pass over
-	// the buckets, not two.
+	// No counting pre-pass: a chunk's output lives in a reusable buffer
+	// whose capacity converges after a few chunks, and the arena grows
+	// geometrically — so the probe pays one pass over the buckets, not two.
 	w.rows = w.ht.joinInto(w.rows[:0], &w.arena, c.Rows, c.Sel, c.Proj, c.Hashes, w.pCols, w.buildFirst)
 	if len(w.rows) == 0 {
 		return nil
@@ -76,13 +75,13 @@ func (w *probeState) drain(st probeStream) error {
 	}
 }
 
-// HashJoinStream is the streaming repartitioning hash join: the build
-// relation is hash-exchanged (batch — it must materialize under the table
-// anyway), the probe source is scattered chunk-wise to its destination
-// partitions (or piped straight through when already partitioned on the
-// keys), and each destination probes arriving chunks immediately, emitting
-// output chunks into the sink. buildFirst selects whether build columns
-// form the left half of the output schema.
+// HashJoinStream is the repartitioning hash join: the build relation is
+// hash-exchanged whole (it must materialize under the table anyway), the
+// probe source is scattered chunk-wise to its destination partitions (or
+// piped straight through when already partitioned on the keys), and each
+// destination probes arriving chunks immediately, emitting output chunks
+// into the sink. buildFirst selects whether build columns form the left
+// half of the output schema.
 func HashJoinStream(ctx *Context, build *Relation, probe Source, buildKeys, probeKeys []string, buildFirst bool, mk SinkFactory) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -117,7 +116,7 @@ func HashJoinStream(ctx *Context, build *Relation, probe Source, buildKeys, prob
 // side is decoded, filtered, hashed, and placed at its destination in one
 // pass, materializing only the exchanged relation the hash tables need.
 // When the build source is already partitioned on the keys it materializes
-// in place (zero-copy for pass-through scans), matching the batch path.
+// in place (zero-copy for pass-through scans and SourceOf relations).
 func HashJoinStreamSources(ctx *Context, buildSrc, probe Source, buildKeys, probeKeys []string, buildFirst bool, mk SinkFactory) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -141,8 +140,8 @@ func HashJoinStreamSources(ctx *Context, buildSrc, probe Source, buildKeys, prob
 	var bHash [][]uint64
 	var bSize [][]int64
 	if colsMatch(buildSrc.PartCols(), bCols) || buildSrc.Parts() == 1 {
-		// Already placed: materialize in place and prehash, like the batch
-		// path's skipped exchange.
+		// Already placed: materialize in place and prehash, like
+		// repartition's skipped exchange.
 		build, err = materializeSource(ctx, buildSrc)
 		if err != nil {
 			return err
@@ -163,7 +162,9 @@ func HashJoinStreamSources(ctx *Context, buildSrc, probe Source, buildKeys, prob
 // hashJoinStreamCore runs the probe phase over an already-exchanged build
 // relation: per destination partition, build the table (or the spilling
 // DHHJ under real memory governance) and stream probe chunks through it
-// into the sink.
+// into the sink. A materialized probe (SourceOf) is exchanged whole rather
+// than scattered: its exchanged partitions stay in memory, so the spilling
+// join can replay them to rebuild a probe run found corrupt.
 func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [][]int64, bCols []int,
 	probe Source, pCols []int, buildFirst bool, mk SinkFactory) error {
 	realSpill := ctx.RealSpill()
@@ -189,14 +190,14 @@ func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [
 	// inert, so neither needs them.
 	wantSizes := !realSpill && budget > 0
 
-	worker := func(p int, st probeStream, hint int64) error {
+	worker := func(p int, st probeStream, hint int64, replay *runSource) error {
 		if realSpill {
 			// Real memory governance: the dynamic hybrid hash join holds at
 			// most the per-node budget of build rows resident, evicting
 			// overflow sub-partitions to run files (spilljoin.go).
-			return spillJoinPartitionStream(ctx, p,
+			return spillJoinPartition(ctx, p,
 				build.Parts[p], bHash[p], partSizes(bSize, p), bCols, build.PartBytes(p),
-				st, pCols, buildFirst, sink)
+				st, replay, pCols, buildFirst, sink)
 		}
 		w := &probeState{
 			ctx:   ctx,
@@ -218,6 +219,24 @@ func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [
 		return nil
 	}
 
+	if rs, ok := probe.(*relationSource); ok {
+		if err := checkPartRows(rs.rel.Parts); err != nil {
+			return err
+		}
+		prel, pHash, _, err := repartition(ctx, rs.rel, pCols, false)
+		if err != nil {
+			return err
+		}
+		return forEachPart(n, func(p int) error {
+			hint := int64(-1)
+			if wantSizes {
+				hint = prel.PartBytes(p)
+			}
+			rows, hashes := prel.Parts[p], pHash[p]
+			st := &memStream{rows: rows, hashes: hashes, size: ctx.chunkRows()}
+			return worker(p, st, hint, &runSource{mem: &memSeq{rows: rows, hashes: hashes}})
+		})
+	}
 	if colsMatch(probe.PartCols(), pCols) || n == 1 {
 		// Exchange skipped (§3's pre-partitioned optimization) or a single
 		// partition: each probe partition pipes straight into its worker.
@@ -228,11 +247,11 @@ func hashJoinStreamCore(ctx *Context, build *Relation, bHash [][]uint64, bSize [
 			}
 			hint := probe.PartBytesHint(p)
 			st := &localStream{cur: cur, keys: keyHasher{keyCols: pCols}, wantSizes: wantSizes && hint < 0}
-			return worker(p, st, hint)
+			return worker(p, st, hint, nil)
 		})
 	}
 	return runScatter(ctx, probe, pCols, func(p int, st probeStream) error {
-		return worker(p, st, -1)
+		return worker(p, st, -1, nil)
 	})
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -47,6 +48,19 @@ func lateProjFactTuples(n int) []types.Tuple {
 		rows[i] = types.Tuple{types.Int(int64(i)), types.Int(int64(i * 7 % 300)), types.Int(pay), tag}
 	}
 	return rows
+}
+
+// lateProjScanWant is the filtered, projected fact scan computed straight
+// from the fixture, rendered and sorted.
+func lateProjScanWant() []string {
+	var out []string
+	for _, r := range lateProjFactTuples(lateProjFactRows) {
+		if r[2].I() >= 500 {
+			out = append(out, types.Tuple{r[3], r[1], r[0]}.String())
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 func lateProjFilter() expr.Expr {
@@ -112,8 +126,9 @@ func lateProjWindowKinds(t *testing.T, cc int) (out, kept, partial int) {
 // TestLateProjectionMatrix feeds a filtering, projecting scan — resident
 // and paged, at chunk capacities 1, 7, and 1024 — into every consumer of
 // projected chunks, and requires rows, row order, schema, partitioning, and
-// every metered counter identical to the batch Scan plus the batch join.
-// The streaming side exercises the probe's through-projection key compare
+// every metered counter identical to the materializing Scan plus the
+// relation-in join, whose rows must equal a nested-loop reference. The
+// scan-fed side exercises the probe's through-projection key compare
 // and output gather (broadcast and local hash probes), the scatter route
 // and collect place gathers, the replicate flatten (INLJ outer),
 // materializeSource, the spill join's chunkSeq gather under an 8 KiB/node
@@ -144,18 +159,9 @@ func TestLateProjectionMatrix(t *testing.T) {
 			L: &expr.Column{Qualifier: "d", Name: "id"}, R: &expr.Literal{Val: types.Int(5)}}
 	}
 	dimCols := []string{"attr", "id"}
-	relJoin := func(join func(ctx *Context, f *Relation) (*Relation, error)) func(ctx *Context) (*Relation, error) {
-		return func(ctx *Context) (*Relation, error) {
-			f, err := factRel(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return join(ctx, f)
-		}
-	}
 	streamJoin := func(join func(ctx *Context, f Source, mk SinkFactory) error) func(ctx *Context) (*Relation, error) {
 		return func(ctx *Context) (*Relation, error) {
-			return collectStream(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+			return collectRelation(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
 				f, err := factSrc(ctx)
 				if err != nil {
 					return err
@@ -173,18 +179,12 @@ func TestLateProjectionMatrix(t *testing.T) {
 		// noSpillModel marks consumers without a modeled spill (INLJ meters
 		// broadcast bytes instead; RunToSink meters the scan only).
 		noSpillModel bool
-		batch        func(ctx *Context) (*Relation, error)
+		rel          relArm
 		stream       func(ctx *Context) (*Relation, error)
 	}
 	cases := []matrixCase{
 		{name: "broadcast-build-right",
-			batch: relJoin(func(ctx *Context, f *Relation) (*Relation, error) {
-				d, err := dim(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return BroadcastJoin(ctx, f, d, []string{"f.fk"}, []string{"d.id"}, false)
-			}),
+			rel: relJoinArm(BroadcastJoin, factRel, dim, []string{"f.fk"}, []string{"d.id"}, false),
 			stream: streamJoin(func(ctx *Context, f Source, mk SinkFactory) error {
 				d, err := dim(ctx)
 				if err != nil {
@@ -193,13 +193,7 @@ func TestLateProjectionMatrix(t *testing.T) {
 				return BroadcastJoinStream(ctx, d, f, []string{"d.id"}, []string{"f.fk"}, false, mk)
 			})},
 		{name: "broadcast-build-left",
-			batch: relJoin(func(ctx *Context, f *Relation) (*Relation, error) {
-				d, err := dim(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return BroadcastJoin(ctx, d, f, []string{"d.id"}, []string{"f.fk"}, true)
-			}),
+			rel: relJoinArm(BroadcastJoin, dim, factRel, []string{"d.id"}, []string{"f.fk"}, true),
 			stream: streamJoin(func(ctx *Context, f Source, mk SinkFactory) error {
 				d, err := dim(ctx)
 				if err != nil {
@@ -208,13 +202,7 @@ func TestLateProjectionMatrix(t *testing.T) {
 				return BroadcastJoinStream(ctx, d, f, []string{"d.id"}, []string{"f.fk"}, true, mk)
 			})},
 		{name: "hash-exchange",
-			batch: relJoin(func(ctx *Context, f *Relation) (*Relation, error) {
-				d, err := dim(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return HashJoin(ctx, f, d, []string{"f.fk"}, []string{"d.id"}, false)
-			}),
+			rel: relJoinArm(HashJoin, factRel, dim, []string{"f.fk"}, []string{"d.id"}, false),
 			stream: streamJoin(func(ctx *Context, f Source, mk SinkFactory) error {
 				d, err := dim(ctx)
 				if err != nil {
@@ -225,13 +213,7 @@ func TestLateProjectionMatrix(t *testing.T) {
 		{name: "hash-local",
 			// The projection keeps the partitioning column, so a probe on
 			// f.id skips the exchange.
-			batch: relJoin(func(ctx *Context, f *Relation) (*Relation, error) {
-				d, err := dim(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return HashJoin(ctx, f, d, []string{"f.id"}, []string{"d.id"}, false)
-			}),
+			rel: relJoinArm(HashJoin, factRel, dim, []string{"f.id"}, []string{"d.id"}, false),
 			stream: streamJoin(func(ctx *Context, f Source, mk SinkFactory) error {
 				d, err := dim(ctx)
 				if err != nil {
@@ -242,13 +224,7 @@ func TestLateProjectionMatrix(t *testing.T) {
 		{name: "hash-sources-exchange",
 			// Build scan keyed off its partitioning: collectExchanged places
 			// gathered view rows.
-			batch: relJoin(func(ctx *Context, f *Relation) (*Relation, error) {
-				d, err := ScanByName(ctx, "dim", "d", dimFilter(), dimCols)
-				if err != nil {
-					return nil, err
-				}
-				return HashJoin(ctx, f, d, []string{"f.fk"}, []string{"d.attr"}, false)
-			}),
+			rel: relJoinArm(HashJoin, factRel, scanRel("dim", "d", dimFilter(), dimCols), []string{"f.fk"}, []string{"d.attr"}, false),
 			stream: streamJoin(func(ctx *Context, f Source, mk SinkFactory) error {
 				ds, _ := ctx.Catalog.Get("dim")
 				d, err := ScanSource(ctx, ds, "d", dimFilter(), dimCols)
@@ -260,13 +236,7 @@ func TestLateProjectionMatrix(t *testing.T) {
 		{name: "hash-sources-placed",
 			// Build scan already partitioned on its key: materializeSource
 			// gathers view rows in place; the build forms the left half.
-			batch: relJoin(func(ctx *Context, f *Relation) (*Relation, error) {
-				d, err := ScanByName(ctx, "dim", "d", dimFilter(), dimCols)
-				if err != nil {
-					return nil, err
-				}
-				return HashJoin(ctx, d, f, []string{"d.id"}, []string{"f.id"}, true)
-			}),
+			rel: relJoinArm(HashJoin, scanRel("dim", "d", dimFilter(), dimCols), factRel, []string{"d.id"}, []string{"f.id"}, true),
 			stream: streamJoin(func(ctx *Context, f Source, mk SinkFactory) error {
 				ds, _ := ctx.Catalog.Get("dim")
 				d, err := ScanSource(ctx, ds, "d", dimFilter(), dimCols)
@@ -276,22 +246,13 @@ func TestLateProjectionMatrix(t *testing.T) {
 				return HashJoinStreamSources(ctx, d, f, []string{"d.id"}, []string{"f.id"}, true, mk)
 			})},
 		{name: "indexnl-outer", noSpillModel: true,
-			batch: relJoin(func(ctx *Context, f *Relation) (*Relation, error) {
-				ds, _ := ctx.Catalog.Get("dim")
-				return IndexNLJoin(ctx, f, ds, "d", []string{"f.fk"}, []string{"id"}, nil)
-			}),
+			rel: relIndexNLArm(factRel, "dim", "d", []string{"f.fk"}, []string{"id"}),
 			stream: streamJoin(func(ctx *Context, f Source, mk SinkFactory) error {
 				ds, _ := ctx.Catalog.Get("dim")
 				return IndexNLJoinStream(ctx, f, ds, "d", []string{"f.fk"}, []string{"id"}, nil, mk)
 			})},
 		{name: "spill-exchange", spill: true,
-			batch: relJoin(func(ctx *Context, f *Relation) (*Relation, error) {
-				b, err := big(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return HashJoin(ctx, f, b, []string{"f.fk"}, []string{"b.id"}, false)
-			}),
+			rel: relJoinArm(HashJoin, factRel, big, []string{"f.fk"}, []string{"b.id"}, false),
 			stream: streamJoin(func(ctx *Context, f Source, mk SinkFactory) error {
 				b, err := big(ctx)
 				if err != nil {
@@ -300,13 +261,7 @@ func TestLateProjectionMatrix(t *testing.T) {
 				return HashJoinStream(ctx, b, f, []string{"b.id"}, []string{"f.fk"}, false, mk)
 			})},
 		{name: "spill-local", spill: true,
-			batch: relJoin(func(ctx *Context, f *Relation) (*Relation, error) {
-				b, err := big(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return HashJoin(ctx, b, f, []string{"b.id"}, []string{"f.id"}, true)
-			}),
+			rel: relJoinArm(HashJoin, big, factRel, []string{"b.id"}, []string{"f.id"}, true),
 			stream: streamJoin(func(ctx *Context, f Source, mk SinkFactory) error {
 				b, err := big(ctx)
 				if err != nil {
@@ -315,7 +270,10 @@ func TestLateProjectionMatrix(t *testing.T) {
 				return HashJoinStream(ctx, b, f, []string{"b.id"}, []string{"f.id"}, true, mk)
 			})},
 		{name: "run-to-sink", noSpillModel: true,
-			batch: factRel,
+			rel: func(ctx *Context) (*Relation, []string, error) {
+				f, err := factRel(ctx)
+				return f, lateProjScanWant(), err
+			},
 			stream: func(ctx *Context) (*Relation, error) {
 				f, err := factSrc(ctx)
 				if err != nil {
@@ -368,7 +326,7 @@ func TestLateProjectionMatrix(t *testing.T) {
 							spillDirs = append(spillDirs, ctx.Spill)
 							t.Cleanup(ctx.Grant.Close)
 						}
-						rows, snaps := runBothModes(t, lateProjNodes, load, tc.batch, tc.stream)
+						rows, snaps := runBothModes(t, lateProjNodes, load, tc.rel, tc.stream)
 						if rows == 0 {
 							t.Fatal("no output rows; case is vacuous")
 						}

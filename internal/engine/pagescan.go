@@ -230,12 +230,8 @@ func (c *pagedCursor) Next() (*Chunk, error) {
 		c.gen++
 		win := c.win[c.lo:hi]
 		c.lo = hi
-		var cols types.ColSource
-		if !c.ctx.NoVec {
-			cols = c
-		}
 		if c.prep.passThrough() {
-			c.c = Chunk{Rows: win, Cols: cols}
+			c.c = Chunk{Rows: win}
 			return &c.c, nil
 		}
 		var sel []int32
@@ -255,11 +251,7 @@ func (c *pagedCursor) Next() (*Chunk, error) {
 		if len(sel) == len(win) {
 			sel = nil
 		}
-		if c.prep.projIdx != nil {
-			c.c = Chunk{Rows: win, Sel: sel, Proj: c.prep.projIdx}
-		} else {
-			c.c = Chunk{Rows: win, Sel: sel, Cols: cols}
-		}
+		c.c = Chunk{Rows: win, Sel: sel, Proj: c.prep.projIdx}
 		return &c.c, nil
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,71 +42,154 @@ func relRows(rel *Relation) []string {
 	return out
 }
 
-// collectStream adapts a streaming join entry point back to a Relation for
-// comparison against the batch reference.
-func collectStream(nparts int, run func(mk SinkFactory) error) (*Relation, error) {
-	var rsink *relationSink
-	var schema *types.Schema
-	var pc []int
-	mk := func(s *types.Schema, partCols []int) (Sink, error) {
-		schema, pc = s, partCols
-		rsink = newRelationSink(nparts)
-		return rsink, nil
-	}
-	if err := run(mk); err != nil {
-		return nil, err
-	}
-	return &Relation{Schema: schema, Parts: rsink.parts, PartCols: pc}, nil
+// relArm is the relation-in arm of runBothModes: a join whose inputs
+// arrive materialized (ScanByName relations) through the Relation-in entry
+// points. It returns the join output and the rows a nested-loop join of the
+// same inputs yields.
+type relArm func(ctx *Context) (*Relation, []string, error)
+
+// scanRel names a ScanByName input of a relation-in arm.
+func scanRel(dataset, alias string, filter expr.Expr, project []string) func(ctx *Context) (*Relation, error) {
+	return func(ctx *Context) (*Relation, error) { return ScanByName(ctx, dataset, alias, filter, project) }
 }
 
-// runBothModes executes the batch and streaming forms of the same join job
-// on fresh but identically loaded contexts and requires identical rows
-// (order included), identical schema and partitioning metadata, and
-// identical counters. It returns the output row count and the batch and
-// streaming counter snapshots.
-func runBothModes(t *testing.T, nodes int, load func(ctx *Context),
-	batchJob func(ctx *Context) (*Relation, error), streamJob func(ctx *Context) (*Relation, error)) (int, [2]cluster.Snapshot) {
-	t.Helper()
-	type res struct {
-		rel  *Relation
-		snap cluster.Snapshot
-	}
-	run := func(batch bool, job func(ctx *Context) (*Relation, error)) res {
-		ctx := testCtx(t, nodes)
-		ctx.Batch = batch
-		load(ctx)
-		rel, err := job(ctx)
+// relJoinArm builds the relation-in arm of a hash or broadcast join (join
+// is HashJoin or BroadcastJoin).
+func relJoinArm(join func(ctx *Context, left, right *Relation, leftKeys, rightKeys []string, buildLeft bool) (*Relation, error),
+	left, right func(ctx *Context) (*Relation, error), leftKeys, rightKeys []string, buildLeft bool) relArm {
+	return func(ctx *Context) (*Relation, []string, error) {
+		l, err := left(ctx)
 		if err != nil {
-			t.Fatalf("batch=%v: %v", batch, err)
+			return nil, nil, err
 		}
-		return res{rel: rel, snap: ctx.Cluster.Acct().Snapshot()}
+		r, err := right(ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		out, err := join(ctx, l, r, leftKeys, rightKeys, buildLeft)
+		if err != nil {
+			return nil, nil, err
+		}
+		return out, nestedLoopJoin(l.Schema, allRows(l.Parts), r.Schema, allRows(r.Parts), leftKeys, rightKeys), nil
 	}
-	b, s := run(true, batchJob), run(false, streamJob)
-	if b.snap != s.snap {
-		t.Errorf("counters diverged\nbatch:  %+v\nstream: %+v", b.snap, s.snap)
+}
+
+// relIndexNLArm builds the relation-in arm of an index nested-loop join
+// over a resident inner dataset; the reference reads the inner's stored
+// rows directly, so it meters nothing.
+func relIndexNLArm(outer func(ctx *Context) (*Relation, error), inner, alias string, outerKeys, innerKeys []string) relArm {
+	return func(ctx *Context) (*Relation, []string, error) {
+		o, err := outer(ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		ds, _ := ctx.Catalog.Get(inner)
+		out, err := IndexNLJoin(ctx, o, ds, alias, outerKeys, innerKeys, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		qualified := make([]string, len(innerKeys))
+		for i, k := range innerKeys {
+			qualified[i] = alias + "." + k
+		}
+		return out, nestedLoopJoin(o.Schema, allRows(o.Parts), ds.Schema.Requalify(alias), allRows(ds.Parts), outerKeys, qualified), nil
 	}
-	br, sr := relRows(b.rel), relRows(s.rel)
+}
+
+func allRows(parts [][]types.Tuple) []types.Tuple {
+	var out []types.Tuple
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// nestedLoopJoin is the reference join: every (l, r) pair whose key
+// columns are Equal yields l⧺r. Rows come back rendered and sorted.
+func nestedLoopJoin(lSchema *types.Schema, lRows []types.Tuple, rSchema *types.Schema, rRows []types.Tuple, lKeys, rKeys []string) []string {
+	var out []string
+	for _, l := range lRows {
+		for _, r := range rRows {
+			match := true
+			for k := range lKeys {
+				if !l[lSchema.MustIndex(lKeys[k])].Equal(r[rSchema.MustIndex(rKeys[k])]) {
+					match = false
+					break
+				}
+			}
+			if match {
+				out = append(out, append(append(types.Tuple{}, l...), r...).String())
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// checkRowsAgainst requires rel's rows to equal want (rendered and sorted)
+// as a multiset.
+func checkRowsAgainst(t *testing.T, rel *Relation, want []string) {
+	t.Helper()
+	got := make([]string, 0, len(want))
+	for _, row := range allRows(rel.Parts) {
+		got = append(got, row.String())
+	}
+	sort.Strings(got)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("rows differ from the nested-loop reference: got %d rows, want %d", len(got), len(want))
+	}
+}
+
+// runBothModes executes the relation-in and scan-fed forms of the same
+// join job on fresh but identically loaded contexts and requires identical
+// rows (order included), identical schema and partitioning metadata, and
+// identical counters; the rows must also equal the relation-in arm's
+// nested-loop reference as a multiset. It returns the output row count and
+// the relation-in and scan-fed counter snapshots.
+func runBothModes(t *testing.T, nodes int, load func(ctx *Context),
+	relJob relArm, streamJob func(ctx *Context) (*Relation, error)) (int, [2]cluster.Snapshot) {
+	t.Helper()
+	relCtx, streamCtx := testCtx(t, nodes), testCtx(t, nodes)
+	load(relCtx)
+	b, want, err := relJob(relCtx)
+	if err != nil {
+		t.Fatalf("relation-in: %v", err)
+	}
+	load(streamCtx)
+	s, err := streamJob(streamCtx)
+	if err != nil {
+		t.Fatalf("scan-fed: %v", err)
+	}
+	bsnap, ssnap := relCtx.Cluster.Acct().Snapshot(), streamCtx.Cluster.Acct().Snapshot()
+	if bsnap != ssnap {
+		t.Errorf("counters diverged\nrelation-in: %+v\nscan-fed:    %+v", bsnap, ssnap)
+	}
+	br, sr := relRows(b), relRows(s)
 	if len(br) != len(sr) {
-		t.Fatalf("row count diverged: batch %d, stream %d", len(br), len(sr))
+		t.Fatalf("row count diverged: relation-in %d, scan-fed %d", len(br), len(sr))
 	}
 	for i := range br {
 		if br[i] != sr[i] {
-			t.Fatalf("row %d diverged:\nbatch:  %s\nstream: %s", i, br[i], sr[i])
+			t.Fatalf("row %d diverged:\nrelation-in: %s\nscan-fed:    %s", i, br[i], sr[i])
 		}
 	}
-	if b.rel.Schema.String() != s.rel.Schema.String() {
-		t.Errorf("schema diverged: %s vs %s", b.rel.Schema, s.rel.Schema)
+	checkRowsAgainst(t, b, want)
+	if b.Schema.String() != s.Schema.String() {
+		t.Errorf("schema diverged: %s vs %s", b.Schema, s.Schema)
 	}
-	if fmt.Sprint(b.rel.PartCols) != fmt.Sprint(s.rel.PartCols) {
-		t.Errorf("PartCols diverged: %v vs %v", b.rel.PartCols, s.rel.PartCols)
+	if fmt.Sprint(b.PartCols) != fmt.Sprint(s.PartCols) {
+		t.Errorf("PartCols diverged: %v vs %v", b.PartCols, s.PartCols)
 	}
-	return len(br), [2]cluster.Snapshot{b.snap, s.snap}
+	return len(br), [2]cluster.Snapshot{bsnap, ssnap}
 }
 
-// TestStreamMatchesBatchChunkBoundaries sweeps the streaming joins across
+// TestStreamMatchesBatchChunkBoundaries sweeps the scan-fed joins across
 // chunk capacities that land rows exactly at, below, and far beyond chunk
 // boundaries, including empty partitions (more partitions than rows) and
-// selective filters that empty entire scan windows.
+// selective filters that empty entire scan windows. Each case must match the
+// relation-in form of the same join and a nested-loop reference (the name
+// predates the removal of the batch executors; runBothModes describes the
+// arms).
 func TestStreamMatchesBatchChunkBoundaries(t *testing.T) {
 	leakcheck.Check(t)
 	payFilter := func() expr.Expr {
@@ -127,21 +211,11 @@ func TestStreamMatchesBatchChunkBoundaries(t *testing.T) {
 				// Probe (fact) is partitioned on id but joined on fk: the
 				// scatter exchange runs.
 				runBothModes(t, 4, load,
-					func(ctx *Context) (*Relation, error) {
-						f, err := ScanByName(ctx, "fact", "f", nil, nil)
-						if err != nil {
-							return nil, err
-						}
-						d, err := ScanByName(ctx, "dim", "d", nil, nil)
-						if err != nil {
-							return nil, err
-						}
-						return HashJoin(ctx, f, d, []string{"f.fk"}, []string{"d.id"}, false)
-					},
+					relJoinArm(HashJoin, scanRel("fact", "f", nil, nil), scanRel("dim", "d", nil, nil), []string{"f.fk"}, []string{"d.id"}, false),
 					func(ctx *Context) (*Relation, error) {
 						fds, _ := ctx.Catalog.Get("fact")
 						dds, _ := ctx.Catalog.Get("dim")
-						return collectStream(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+						return collectRelation(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
 							fsrc, err := ScanSource(ctx, fds, "f", nil, nil)
 							if err != nil {
 								return err
@@ -150,9 +224,9 @@ func TestStreamMatchesBatchChunkBoundaries(t *testing.T) {
 							if err != nil {
 								return err
 							}
-							// buildLeft=false in the batch call means the dim
-							// (right) side builds; probe columns form the left
-							// half, so buildFirst=false.
+							// buildLeft=false in the relation-in call means the
+							// dim (right) side builds; probe columns form the
+							// left half, so buildFirst=false.
 							return HashJoinStreamSources(ctx, dsrc, fsrc, []string{"d.id"}, []string{"f.fk"}, false, mk)
 						})
 					})
@@ -161,21 +235,11 @@ func TestStreamMatchesBatchChunkBoundaries(t *testing.T) {
 				// Probe pre-partitioned on the join key: the exchange is
 				// skipped and the local pipeline runs.
 				runBothModes(t, 4, load,
-					func(ctx *Context) (*Relation, error) {
-						f, err := ScanByName(ctx, "fact", "f", nil, nil)
-						if err != nil {
-							return nil, err
-						}
-						d, err := ScanByName(ctx, "dim", "d", nil, nil)
-						if err != nil {
-							return nil, err
-						}
-						return HashJoin(ctx, f, d, []string{"f.id"}, []string{"d.id"}, false)
-					},
+					relJoinArm(HashJoin, scanRel("fact", "f", nil, nil), scanRel("dim", "d", nil, nil), []string{"f.id"}, []string{"d.id"}, false),
 					func(ctx *Context) (*Relation, error) {
 						fds, _ := ctx.Catalog.Get("fact")
 						dds, _ := ctx.Catalog.Get("dim")
-						return collectStream(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+						return collectRelation(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
 							fsrc, err := ScanSource(ctx, fds, "f", nil, nil)
 							if err != nil {
 								return err
@@ -190,21 +254,11 @@ func TestStreamMatchesBatchChunkBoundaries(t *testing.T) {
 			})
 			t.Run("broadcast", func(t *testing.T) {
 				runBothModes(t, 4, load,
-					func(ctx *Context) (*Relation, error) {
-						f, err := ScanByName(ctx, "fact", "f", nil, nil)
-						if err != nil {
-							return nil, err
-						}
-						d, err := ScanByName(ctx, "dim", "d", nil, nil)
-						if err != nil {
-							return nil, err
-						}
-						return BroadcastJoin(ctx, f, d, []string{"f.fk"}, []string{"d.id"}, false)
-					},
+					relJoinArm(BroadcastJoin, scanRel("fact", "f", nil, nil), scanRel("dim", "d", nil, nil), []string{"f.fk"}, []string{"d.id"}, false),
 					func(ctx *Context) (*Relation, error) {
 						fds, _ := ctx.Catalog.Get("fact")
 						dds, _ := ctx.Catalog.Get("dim")
-						return collectStream(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+						return collectRelation(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
 							build, err := Scan(ctx, dds, "d", nil, nil)
 							if err != nil {
 								return err
@@ -226,18 +280,11 @@ func TestStreamMatchesBatchChunkBoundaries(t *testing.T) {
 					}
 				}
 				runBothModes(t, 4, loadIdx,
-					func(ctx *Context) (*Relation, error) {
-						ds, _ := ctx.Catalog.Get("fact")
-						d, err := ScanByName(ctx, "dim", "d", nil, nil)
-						if err != nil {
-							return nil, err
-						}
-						return IndexNLJoin(ctx, d, ds, "f", []string{"d.id"}, []string{"fk"}, nil)
-					},
+					relIndexNLArm(scanRel("dim", "d", nil, nil), "fact", "f", []string{"d.id"}, []string{"fk"}),
 					func(ctx *Context) (*Relation, error) {
 						ds, _ := ctx.Catalog.Get("fact")
 						dds, _ := ctx.Catalog.Get("dim")
-						return collectStream(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+						return collectRelation(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
 							dsrc, err := ScanSource(ctx, dds, "d", nil, nil)
 							if err != nil {
 								return err
@@ -250,21 +297,11 @@ func TestStreamMatchesBatchChunkBoundaries(t *testing.T) {
 				// Selective filter empties most scan windows; projection
 				// sends view chunks (Chunk.Proj) down the pipeline.
 				runBothModes(t, 4, load,
-					func(ctx *Context) (*Relation, error) {
-						f, err := ScanByName(ctx, "fact", "f", payFilter(), []string{"id", "fk"})
-						if err != nil {
-							return nil, err
-						}
-						d, err := ScanByName(ctx, "dim", "d", nil, nil)
-						if err != nil {
-							return nil, err
-						}
-						return HashJoin(ctx, f, d, []string{"f.fk"}, []string{"d.id"}, false)
-					},
+					relJoinArm(HashJoin, scanRel("fact", "f", payFilter(), []string{"id", "fk"}), scanRel("dim", "d", nil, nil), []string{"f.fk"}, []string{"d.id"}, false),
 					func(ctx *Context) (*Relation, error) {
 						fds, _ := ctx.Catalog.Get("fact")
 						dds, _ := ctx.Catalog.Get("dim")
-						return collectStream(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+						return collectRelation(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
 							fsrc, err := ScanSource(ctx, fds, "f", payFilter(), []string{"id", "fk"})
 							if err != nil {
 								return err
@@ -282,7 +319,7 @@ func TestStreamMatchesBatchChunkBoundaries(t *testing.T) {
 }
 
 // TestStreamMatchesBatchEmptyInputs: zero-row probe and build sides flow
-// through the pipeline without emitting chunks.
+// through the pipeline without emitting chunks, in both runBothModes arms.
 func TestStreamMatchesBatchEmptyInputs(t *testing.T) {
 	leakcheck.Check(t)
 	withChunkCap(t, 2)
@@ -291,21 +328,11 @@ func TestStreamMatchesBatchEmptyInputs(t *testing.T) {
 		register(t, ctx, "dim", []string{"id"}, []string{"id", "attr"}, [][]int64{{0, 10}})
 	}
 	runBothModes(t, 4, load,
-		func(ctx *Context) (*Relation, error) {
-			f, err := ScanByName(ctx, "fact", "f", nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			d, err := ScanByName(ctx, "dim", "d", nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			return HashJoin(ctx, f, d, []string{"f.fk"}, []string{"d.id"}, false)
-		},
+		relJoinArm(HashJoin, scanRel("fact", "f", nil, nil), scanRel("dim", "d", nil, nil), []string{"f.fk"}, []string{"d.id"}, false),
 		func(ctx *Context) (*Relation, error) {
 			fds, _ := ctx.Catalog.Get("fact")
 			dds, _ := ctx.Catalog.Get("dim")
-			return collectStream(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+			return collectRelation(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
 				fsrc, err := ScanSource(ctx, fds, "f", nil, nil)
 				if err != nil {
 					return err
@@ -335,11 +362,11 @@ func registerTyped(t *testing.T, ctx *Context, name string, pk []string, schema 
 
 // TestStreamMatchesBatchSelChunks pins the selection-vector chunk form
 // end-to-end: a filter without projection emits stored windows with a Sel
-// sidecar, which must flow through the scatter exchange, the local join
-// pipeline (joinInto over the selection), and columnar key hashing with results and counters
-// identical to the dense batch reference. Covers the vectorized int and
-// string kernels, NULLs in filtered columns, and the scalar fallback for UDF
-// predicates.
+// sidecar, which must flow through the scatter exchange and the local join
+// pipeline (joinInto over the selection) with results and counters identical
+// to the relation-in arm, whose filtered scan materializes dense rows.
+// Covers the vectorized int and string kernels, NULLs in filtered columns,
+// and the scalar fallback for UDF predicates.
 func TestStreamMatchesBatchSelChunks(t *testing.T) {
 	leakcheck.Check(t)
 	strRows := func(n int) []types.Tuple {
@@ -363,7 +390,7 @@ func TestStreamMatchesBatchSelChunks(t *testing.T) {
 		return func(ctx *Context) (*Relation, error) {
 			pds, _ := ctx.Catalog.Get(probe)
 			bds, _ := ctx.Catalog.Get(build)
-			return collectStream(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+			return collectRelation(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
 				psrc, err := ScanSource(ctx, pds, "f", filter, nil)
 				if err != nil {
 					return err
@@ -376,18 +403,8 @@ func TestStreamMatchesBatchSelChunks(t *testing.T) {
 			})
 		}
 	}
-	joinBatch := func(probe, build string, probeKey, buildKey string, filter expr.Expr) func(ctx *Context) (*Relation, error) {
-		return func(ctx *Context) (*Relation, error) {
-			f, err := ScanByName(ctx, probe, "f", filter, nil)
-			if err != nil {
-				return nil, err
-			}
-			d, err := ScanByName(ctx, build, "d", nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			return HashJoin(ctx, f, d, []string{probeKey}, []string{buildKey}, false)
-		}
+	joinRel := func(probe, build string, probeKey, buildKey string, filter expr.Expr) relArm {
+		return relJoinArm(HashJoin, scanRel(probe, "f", filter, nil), scanRel(build, "d", nil, nil), []string{probeKey}, []string{buildKey}, false)
 	}
 	for _, cc := range []int{3, 25} {
 		t.Run(fmt.Sprintf("chunkCap=%d", cc), func(t *testing.T) {
@@ -398,11 +415,11 @@ func TestStreamMatchesBatchSelChunks(t *testing.T) {
 			}
 			t.Run("int-filter-scattered", func(t *testing.T) {
 				// Partial-pass windows (pay%70<35 keeps runs of rows) emit sel
-				// chunks into the scatter exchange: columnar hashing walks Sel.
+				// chunks into the scatter exchange: the key prehash walks Sel.
 				filt := &expr.Compare{Op: expr.CmpLt,
 					L: &expr.Column{Qualifier: "f", Name: "pay"}, R: &expr.Literal{Val: types.Int(500)}}
 				runBothModes(t, 4, loadInt,
-					joinBatch("fact", "dim", "f.fk", "d.id", filt),
+					joinRel("fact", "dim", "f.fk", "d.id", filt),
 					joinStream("fact", "dim", "f.fk", "d.id", filt))
 			})
 			t.Run("int-filter-prepartitioned", func(t *testing.T) {
@@ -411,7 +428,7 @@ func TestStreamMatchesBatchSelChunks(t *testing.T) {
 				filt := &expr.Compare{Op: expr.CmpGe,
 					L: &expr.Column{Qualifier: "f", Name: "pay"}, R: &expr.Literal{Val: types.Int(300)}}
 				runBothModes(t, 4, loadInt,
-					joinBatch("fact", "dim", "f.id", "d.id", filt),
+					joinRel("fact", "dim", "f.id", "d.id", filt),
 					joinStream("fact", "dim", "f.id", "d.id", filt))
 			})
 			t.Run("string-filter", func(t *testing.T) {
@@ -423,7 +440,7 @@ func TestStreamMatchesBatchSelChunks(t *testing.T) {
 				filt := &expr.Compare{Op: expr.CmpGe,
 					L: &expr.Column{Qualifier: "f", Name: "name"}, R: &expr.Literal{Val: types.Str("m")}}
 				runBothModes(t, 4, load,
-					joinBatch("fact", "dim", "f.fk", "d.id", filt),
+					joinRel("fact", "dim", "f.fk", "d.id", filt),
 					joinStream("fact", "dim", "f.fk", "d.id", filt))
 			})
 			t.Run("udf-filter", func(t *testing.T) {
@@ -444,7 +461,7 @@ func TestStreamMatchesBatchSelChunks(t *testing.T) {
 					L: &expr.Call{Name: "selmod", Args: []expr.Expr{&expr.Column{Qualifier: "f", Name: "id"}}},
 					R: &expr.Literal{Val: types.Int(0)}}
 				runBothModes(t, 4, load,
-					joinBatch("fact", "dim", "f.fk", "d.id", filt),
+					joinRel("fact", "dim", "f.fk", "d.id", filt),
 					joinStream("fact", "dim", "f.fk", "d.id", filt))
 			})
 		})
@@ -461,9 +478,8 @@ func TestStreamSpillSelChunks(t *testing.T) {
 		return &expr.Compare{Op: expr.CmpGe,
 			L: &expr.Column{Qualifier: "d", Name: "attr"}, R: &expr.Literal{Val: types.Int(60)}}
 	}
-	run := func(batch bool) ([]string, cluster.Snapshot) {
+	run := func(relationIn bool) ([]string, cluster.Snapshot) {
 		ctx := testCtx(t, 2)
-		ctx.Batch = batch
 		register(t, ctx, "fact", []string{"id"}, []string{"id", "fk", "pay"}, seqTable(4000, 64))
 		dim := make([][]int64, 64)
 		for i := range dim {
@@ -477,21 +493,17 @@ func TestStreamSpillSelChunks(t *testing.T) {
 		defer ctx.Grant.Close()
 		var rel *Relation
 		var err error
-		if batch {
-			var f, d *Relation
-			f, err = ScanByName(ctx, "fact", "f", nil, nil)
-			if err != nil {
-				t.Fatal(err)
+		if relationIn {
+			var want []string
+			rel, want, err = relJoinArm(HashJoin, scanRel("fact", "f", nil, nil), scanRel("dim", "d", filt(), nil),
+				[]string{"f.fk"}, []string{"d.id"}, true)(ctx)
+			if err == nil {
+				checkRowsAgainst(t, rel, want)
 			}
-			d, err = ScanByName(ctx, "dim", "d", filt(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rel, err = HashJoin(ctx, f, d, []string{"f.fk"}, []string{"d.id"}, true)
 		} else {
 			fds, _ := ctx.Catalog.Get("fact")
 			dds, _ := ctx.Catalog.Get("dim")
-			rel, err = collectStream(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+			rel, err = collectRelation(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
 				fsrc, serr := ScanSource(ctx, fds, "f", nil, nil)
 				if serr != nil {
 					return serr
@@ -504,7 +516,7 @@ func TestStreamSpillSelChunks(t *testing.T) {
 			})
 		}
 		if err != nil {
-			t.Fatalf("batch=%v: %v", batch, err)
+			t.Fatalf("relationIn=%v: %v", relationIn, err)
 		}
 		if err := ctx.Spill.Sweep(); err != nil {
 			t.Fatal(err)
@@ -517,7 +529,7 @@ func TestStreamSpillSelChunks(t *testing.T) {
 		t.Fatal("budget did not force spilling; test is vacuous")
 	}
 	if bsnap != ssnap {
-		t.Errorf("counters diverged\nbatch:  %+v\nstream: %+v", bsnap, ssnap)
+		t.Errorf("counters diverged\nrelation-in: %+v\nscan-fed:    %+v", bsnap, ssnap)
 	}
 	if len(brows) != len(srows) {
 		t.Fatalf("row count diverged: %d vs %d", len(brows), len(srows))
@@ -529,9 +541,10 @@ func TestStreamSpillSelChunks(t *testing.T) {
 	}
 }
 
-// TestStreamSpillMatchesBatch runs the real-spill DHHJ in both modes under
-// a budget forcing eviction: identical rows and identical spill metering,
-// with the streaming probe arriving chunk-by-chunk.
+// TestStreamSpillMatchesBatch runs the real-spill DHHJ relation-in and
+// scan-fed under a budget forcing eviction: identical rows and identical
+// spill metering, with the scan-fed probe arriving chunk-by-chunk and the
+// relation-in rows matching a nested-loop reference.
 func TestStreamSpillMatchesBatch(t *testing.T) {
 	leakcheck.Check(t)
 	withChunkCap(t, 7)
@@ -539,9 +552,8 @@ func TestStreamSpillMatchesBatch(t *testing.T) {
 		rows []string
 		snap cluster.Snapshot
 	}
-	run := func(batch bool) res {
+	run := func(relationIn bool) res {
 		ctx := testCtx(t, 2)
-		ctx.Batch = batch
 		register(t, ctx, "fact", []string{"id"}, []string{"id", "fk", "pay"}, seqTable(4000, 64))
 		dim := make([][]int64, 64)
 		for i := range dim {
@@ -555,21 +567,17 @@ func TestStreamSpillMatchesBatch(t *testing.T) {
 		defer ctx.Grant.Close()
 		var rel *Relation
 		var err error
-		if batch {
-			var f, d *Relation
-			f, err = ScanByName(ctx, "fact", "f", nil, nil)
-			if err != nil {
-				t.Fatal(err)
+		if relationIn {
+			var want []string
+			rel, want, err = relJoinArm(HashJoin, scanRel("fact", "f", nil, nil), scanRel("dim", "d", nil, nil),
+				[]string{"f.fk"}, []string{"d.id"}, true)(ctx)
+			if err == nil {
+				checkRowsAgainst(t, rel, want)
 			}
-			d, err = ScanByName(ctx, "dim", "d", nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rel, err = HashJoin(ctx, f, d, []string{"f.fk"}, []string{"d.id"}, true)
 		} else {
 			fds, _ := ctx.Catalog.Get("fact")
 			dds, _ := ctx.Catalog.Get("dim")
-			rel, err = collectStream(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
+			rel, err = collectRelation(ctx.Cluster.Nodes(), func(mk SinkFactory) error {
 				fsrc, serr := ScanSource(ctx, fds, "f", nil, nil)
 				if serr != nil {
 					return serr
@@ -583,7 +591,7 @@ func TestStreamSpillMatchesBatch(t *testing.T) {
 			})
 		}
 		if err != nil {
-			t.Fatalf("batch=%v: %v", batch, err)
+			t.Fatalf("relationIn=%v: %v", relationIn, err)
 		}
 		if err := ctx.Spill.Sweep(); err != nil {
 			t.Fatal(err)
@@ -595,7 +603,7 @@ func TestStreamSpillMatchesBatch(t *testing.T) {
 		t.Fatal("budget did not force spilling; test is vacuous")
 	}
 	if b.snap != s.snap {
-		t.Errorf("counters diverged\nbatch:  %+v\nstream: %+v", b.snap, s.snap)
+		t.Errorf("counters diverged\nrelation-in: %+v\nscan-fed:    %+v", b.snap, s.snap)
 	}
 	if len(b.rows) != len(s.rows) {
 		t.Fatalf("row count diverged: %d vs %d", len(b.rows), len(s.rows))

@@ -10,16 +10,16 @@ import (
 	"dynopt/internal/types"
 )
 
-// scanPrep is the per-scan compilation shared by the batch and streaming
-// scan paths: compiled predicate, projection offsets, output schema, and
-// surviving partition columns.
+// scanPrep is the per-scan compilation shared by the materializing and
+// streaming scan paths: compiled predicate, projection offsets, output
+// schema, and surviving partition columns.
 type scanPrep struct {
 	qualified *types.Schema
 	pred      expr.Compiled
 	// vpred is the predicate's vectorized form, nil when the expression has
 	// no kernel (UDF calls, arithmetic, unsupported shapes) — the streaming
-	// cursor then filters row-at-a-time with pred. The batch path always
-	// uses pred: it is the reference implementation.
+	// cursors then filter row-at-a-time with pred. The materializing Scan
+	// always filters row-at-a-time with pred.
 	vpred     expr.VecPred
 	projIdx   []int
 	outSchema *types.Schema
@@ -49,10 +49,8 @@ func prepareScan(ctx *Context, ds *storage.Dataset, alias string, filter expr.Ex
 		// compile refusal (unsupported node, unresolved column) silently
 		// keeps the scalar path, and the kernels themselves fall back per
 		// chunk when a column gathers mixed-kind.
-		if !ctx.NoVec {
-			if vp, ok, verr := expr.CompileVec(filter, env); verr == nil && ok {
-				sp.vpred = vp
-			}
+		if vp, ok, verr := expr.CompileVec(filter, env); verr == nil && ok {
+			sp.vpred = vp
 		}
 	}
 	sp.outSchema = sp.qualified
@@ -115,9 +113,9 @@ func meterScanPart(ctx *Context, ds *storage.Dataset, p int) {
 // Scan reads a dataset bound to an alias, applying an optional pushed-down
 // filter and projection in the same partition-parallel pass (the fused
 // scan→select→project pipeline of one Hyracks stage), materializing the
-// result as a Relation. The streaming pipeline uses ScanSource instead;
-// Scan remains the batch reference and the entry point for build sides,
-// which must materialize.
+// result as a Relation. Join probes stream through ScanSource instead; Scan
+// is the entry point for broadcast build sides, which must materialize
+// whole.
 func Scan(ctx *Context, ds *storage.Dataset, alias string, filter expr.Expr, project []string) (*Relation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -129,9 +127,9 @@ func Scan(ctx *Context, ds *storage.Dataset, alias string, filter expr.Expr, pro
 	return scanInto(ctx, ds, sp)
 }
 
-// scanInto materializes a prepared scan as a Relation — the batch scan
-// body, also backing a streaming scan source that is asked to materialize
-// in place (pre-partitioned build sides).
+// scanInto materializes a prepared scan as a Relation — Scan's body, also
+// backing a streaming scan source that is asked to materialize in place
+// (pre-partitioned build sides).
 func scanInto(ctx *Context, ds *storage.Dataset, sp *scanPrep) (*Relation, error) {
 	if ds.IsPaged() {
 		return pagedScanInto(ctx, ds, sp)
@@ -189,7 +187,7 @@ func scanInto(ctx *Context, ds *storage.Dataset, sp *scanPrep) (*Relation, error
 // cursor decodes, filters, and projects chunk-at-a-time, so a probe side
 // flows into its join without ever materializing as a Relation. Read I/O
 // for a partition is metered in full when its cursor opens — identical
-// totals to the batch Scan.
+// totals to the materializing Scan.
 func ScanSource(ctx *Context, ds *storage.Dataset, alias string, filter expr.Expr, project []string) (Source, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -229,14 +227,10 @@ func (s *scanSource) Open(p int) (Cursor, error) {
 	if s.ds.IsPaged() {
 		return newPagedCursor(s.ctx, s.ds, s.prep, p), nil
 	}
-	cur := &scanCursor{ctx: s.ctx, prep: s.prep, r: s.ds.ChunkReader(p, s.ctx.chunkRows())}
-	if !s.ctx.NoVec {
-		cur.cols = cur.r
-	}
-	return cur, nil
+	return &scanCursor{ctx: s.ctx, prep: s.prep, r: s.ds.ChunkReader(p, s.ctx.chunkRows())}, nil
 }
 
-// materialize runs the scan as the batch pass instead of streaming —
+// materialize runs the scan as one materializing pass instead of streaming —
 // zero-copy for pass-through scans, exactly like engine.Scan. Used when a
 // join must hold this side whole anyway and no exchange will move it.
 func (s *scanSource) materialize(ctx *Context) (*Relation, error) {
@@ -253,9 +247,6 @@ type scanCursor struct {
 	ctx  *Context
 	prep *scanPrep
 	r    *storage.ChunkReader
-	// cols is the reader's columnar face, nil under Context.NoVec so emitted
-	// chunks carry no column source and downstream stays fully scalar.
-	cols types.ColSource
 	sel  []int32
 	c    Chunk
 }
@@ -298,7 +289,7 @@ func (c *scanCursor) Next() (*Chunk, error) {
 			return nil, io.EOF
 		}
 		if c.prep.passThrough() {
-			c.c = Chunk{Rows: win, Cols: c.cols}
+			c.c = Chunk{Rows: win}
 			return &c.c, nil
 		}
 		var sel []int32
@@ -314,16 +305,11 @@ func (c *scanCursor) Next() (*Chunk, error) {
 		}
 		// Emit the stored window with its selection — no tuple-header copies.
 		// A full pass drops the selection so downstream stays on the dense
-		// fast path. A projection goes out as a view over the stored rows,
-		// without the column source (vectors align with stored columns).
+		// fast path. A projection goes out as a view over the stored rows.
 		if len(sel) == len(win) {
 			sel = nil
 		}
-		if c.prep.projIdx != nil {
-			c.c = Chunk{Rows: win, Sel: sel, Proj: c.prep.projIdx}
-		} else {
-			c.c = Chunk{Rows: win, Sel: sel, Cols: c.cols}
-		}
+		c.c = Chunk{Rows: win, Sel: sel, Proj: c.prep.projIdx}
 		return &c.c, nil
 	}
 }

@@ -27,8 +27,7 @@ func flattenSchema(relSchema *types.Schema) *types.Schema {
 // observed for online statistics, metered as materialized-write I/O, sized,
 // and appended to the temp dataset's partitions in the same pass that
 // produced them — the relation is never re-walked. Counters and statistics
-// are identical to the batch Materialize, which walks the finished relation
-// instead.
+// are identical to Materialize, which walks a finished relation instead.
 type StreamSink struct {
 	ctx       *Context
 	name      string
@@ -149,13 +148,12 @@ func (s *StreamSink) Finish() (*storage.Dataset, *stats.DatasetStats, error) {
 	return ds, merged, nil
 }
 
-// Materialize is the batch Sink: it writes a finished relation to the temp
-// store (metering the write I/O of the blocking re-optimization point) and
-// collects online statistics on the requested fields — the join keys of the
-// remaining query, so no unnecessary sketches are built (§5.3). The
-// streaming pipeline fuses this work into the producing stage via
-// StreamSink; Materialize remains the batch-mode reference and the path for
-// already-materialized relations.
+// Materialize is the Sink for an already-materialized relation: it writes
+// it to the temp store (metering the write I/O of the blocking
+// re-optimization point) and collects online statistics on the requested
+// fields — the join keys of the remaining query, so no unnecessary sketches
+// are built (§5.3). Stage pipelines fuse this work into the producing stage
+// via StreamSink instead.
 func Materialize(ctx *Context, rel *Relation, name string, statsFields map[string]bool) (*storage.Dataset, *stats.DatasetStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err

@@ -146,8 +146,8 @@ func (s *fileSeq) next() (types.Tuple, uint64, int64, error) {
 // runSource names where a spilled run's rows came from, so a run found
 // corrupt on read-back can be rebuilt: the in-memory partition at level 0,
 // or the parent level's run file below (still on disk until its own pair
-// completes). A nil *runSource marks a side with no replayable source — the
-// streaming probe, whose chunks were consumed as they arrived.
+// completes). A nil *runSource marks a side with no replayable source — a
+// scan-fed probe, whose chunks were consumed as they arrived.
 type runSource struct {
 	mem     *memSeq
 	file    *storage.SpillFile
@@ -186,10 +186,9 @@ type spillJoin struct {
 	// run the shared joinInto loop over a one-row window without allocating.
 	one     [1]types.Tuple
 	oneHash [1]uint64
-	// emit, when set, receives output rows chunk-by-chunk (the streaming
-	// sink path); out then only buffers up to one chunk between flushes.
-	// Nil accumulates the whole partition's output in out (the batch path).
-	emit func(rows []types.Tuple) error
+	// sink receives output rows chunk-by-chunk; out only buffers up to one
+	// chunk between flushes.
+	sink Sink
 	// noSpill marks the degraded mode entered when the spill device fails
 	// before any run file landed: the join holds its whole build side
 	// resident — reserving the bytes but ignoring budget and pressure, like
@@ -197,11 +196,10 @@ type spillJoin struct {
 	noSpill bool
 }
 
-// maybeFlush hands the buffered output to the emit hook once a chunk's
-// worth has accumulated. The buffer is reused: sinks copy the headers they
-// keep.
+// maybeFlush hands the buffered output to the sink once a chunk's worth
+// has accumulated. The buffer is reused: sinks copy the headers they keep.
 func (j *spillJoin) maybeFlush() error {
-	if j.emit == nil || len(j.out) < j.ctx.chunkRows() {
+	if len(j.out) < j.ctx.chunkRows() {
 		return nil
 	}
 	return j.flush()
@@ -211,58 +209,22 @@ func (j *spillJoin) flush() error {
 	if len(j.out) == 0 {
 		return nil
 	}
-	err := j.emit(j.out)
+	err := j.sink.Emit(j.part, j.out)
 	j.out = j.out[:0]
 	return err
 }
 
-// spillJoinPartition joins one partition under the real memory budget,
-// returning the output rows. Falls to the plain in-memory join when the
-// build side fits the grant; otherwise runs the dynamic hybrid hash join.
-func spillJoinPartition(ctx *Context, p int, outWidth int,
+// spillJoinPartition joins one partition under the real memory budget:
+// probe chunks stream through one in-memory table when the build side fits
+// the grant, else through the dynamic hybrid hash join. Output rows flow
+// into the sink as they are produced, so neither side is ever
+// whole-relation resident beyond the governed build set. replay, when
+// non-nil, re-reads the probe partition from memory (a materialized,
+// exchanged probe) so a corrupt level-0 probe run can be rebuilt; a
+// scan-fed probe has none, its chunks consumed as they arrived.
+func spillJoinPartition(ctx *Context, p int,
 	bRows []types.Tuple, bHash []uint64, bSize []int64, bCols []int, buildBytes int64,
-	pRows []types.Tuple, pHash []uint64, pCols []int, buildFirst bool) ([]types.Tuple, error) {
-
-	budget := ctx.Cluster.MemoryPerNodeBytes()
-	acct := ctx.Accounting()
-	gr := ctx.Grant
-	if buildBytes <= budget {
-		if gr.Reserve(buildBytes) {
-			// Resident fast path: the whole build side fits the per-node
-			// budget and the governor has room.
-			defer gr.Release(buildBytes)
-			ht := buildTable(bRows, bHash, bCols)
-			acct.BuildRows.Add(int64(len(bRows)))
-			acct.ProbeRows.Add(int64(len(pRows)))
-			cnt := ht.countMatches(pHash)
-			var arena types.Arena
-			arena.Reserve(cnt * outWidth)
-			rows := make([]types.Tuple, 0, cnt)
-			return ht.joinInto(rows, &arena, pRows, nil, nil, pHash, pCols, buildFirst), nil
-		}
-		// Cross-query pressure: the bytes were charged by the failed
-		// Reserve, so undo before taking the spilling path (which holds
-		// only its resident set).
-		gr.Release(buildBytes)
-	}
-	j := &spillJoin{
-		ctx: ctx, acct: acct, grant: gr, part: p, budget: budget,
-		bCols: bCols, pCols: pCols, buildFirst: buildFirst,
-	}
-	build := &memSeq{rows: bRows, hashes: bHash, sizes: bSize}
-	probe := &memSeq{rows: pRows, hashes: pHash}
-	err := j.run(0, build, probe,
-		&runSource{mem: build}, &runSource{mem: probe})
-	return j.out, err
-}
-
-// spillJoinPartitionStream is spillJoinPartition for the streaming
-// pipeline: the probe side arrives chunk-by-chunk and output rows flow into
-// the sink as they are produced, so neither side of the spilling join is
-// ever whole-relation resident beyond the governed build set.
-func spillJoinPartitionStream(ctx *Context, p int,
-	bRows []types.Tuple, bHash []uint64, bSize []int64, bCols []int, buildBytes int64,
-	probe probeStream, pCols []int, buildFirst bool, sink Sink) error {
+	probe probeStream, replay *runSource, pCols []int, buildFirst bool, sink Sink) error {
 
 	budget := ctx.Cluster.MemoryPerNodeBytes()
 	acct := ctx.Accounting()
@@ -293,14 +255,12 @@ func spillJoinPartitionStream(ctx *Context, p int,
 	}
 	j := &spillJoin{
 		ctx: ctx, acct: acct, grant: gr, part: p, budget: budget,
-		bCols: bCols, pCols: pCols, buildFirst: buildFirst,
-		emit: func(rows []types.Tuple) error { return sink.Emit(p, rows) },
+		bCols: bCols, pCols: pCols, buildFirst: buildFirst, sink: sink,
 	}
 	build := &memSeq{rows: bRows, hashes: bHash, sizes: bSize}
-	// The streaming probe has no replayable source (chunks are consumed as
-	// they arrive), so a corrupt probe run at level 0 fails classified
-	// rather than rebuilding; the build side recovers as usual.
-	if err := j.run(0, build, &chunkSeq{st: probe}, &runSource{mem: build}, nil); err != nil {
+	// Without a replay source a corrupt probe run at level 0 fails
+	// classified rather than rebuilding; the build side recovers as usual.
+	if err := j.run(0, build, &chunkSeq{st: probe}, &runSource{mem: build}, replay); err != nil {
 		return err
 	}
 	return j.flush()

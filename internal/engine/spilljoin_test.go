@@ -376,3 +376,45 @@ func TestSpillCorruptionRecursFailsClassified(t *testing.T) {
 		t.Errorf("recurring corruption classified %v, want ErrCorrupt", err)
 	}
 }
+
+// TestSpillCorruptProbeRunRebuilds: a relation-in probe stays replayable
+// under real spill. On one node the join's second run read is the first
+// spilled pair's probe-run verify (its build run is read first), so damage
+// there must be healed by rebuilding the probe run from the exchanged probe
+// partition — rows identical to the clean run, one rebuild metered.
+func TestSpillCorruptProbeRunRebuilds(t *testing.T) {
+	run := func(rule faults.Rule) ([]string, cluster.Snapshot) {
+		ctx := testCtx(t, 1)
+		register(t, ctx, "fact", []string{"id"}, []string{"id", "k", "pay"}, seqTable(20000, 499))
+		register(t, ctx, "dim", []string{"id"}, []string{"id", "k", "pay"}, seqTable(1000, 499))
+		f, err := ScanByName(ctx, "fact", "f", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := ScanByName(ctx, "dim", "d", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.Cluster.SetMemoryPerNodeBytes(f.ByteSize() / 8)
+		sm, _ := realSpillCtx(t, ctx)
+		reg := faults.New(0xC0FFEE)
+		reg.Arm(rule)
+		ctx.Faults = reg
+		sm.Faults = reg
+		before := ctx.Cluster.Acct().Snapshot()
+		rel, err := HashJoin(ctx, f, d, joinKeys("f", "k"), joinKeys("d", "k"), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sortedRows(rel), ctx.Cluster.Acct().Snapshot().Sub(before)
+	}
+	clean, cleanDelta := run(faults.Rule{Point: "spill.corrupt", Corrupt: faults.CorruptNone})
+	if cleanDelta.SpillBytes == 0 {
+		t.Fatal("reference join did not spill")
+	}
+	rows, delta := run(faults.Rule{Point: "spill.corrupt", EveryN: 2, OneShot: true, Corrupt: faults.CorruptFlipBit})
+	if delta.SpillRebuilds != 1 {
+		t.Errorf("rebuilds metered: %d, want 1", delta.SpillRebuilds)
+	}
+	rowsEqual(t, rows, clean)
+}

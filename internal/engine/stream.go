@@ -19,7 +19,7 @@ import (
 //                hash into per-destination chunk buffers shipped over
 //                bounded channels; each destination merges its inputs in
 //                source order, so output order is byte-identical to the
-//                batch exchange,
+//                whole-relation exchange (repartition),
 //   - replicate: the broadcast — one producer merges the source partitions
 //                in order and ships every chunk to all destinations (the
 //                INLJ outer side).
@@ -66,6 +66,26 @@ func (s *localStream) next() (*Chunk, error) {
 		sc.Sizes = s.sizeBuf
 	}
 	s.c = sc
+	return &s.c, nil
+}
+
+// memStream windows an exchanged in-memory partition into probe chunks,
+// its prehashes riding along as the Hashes sidecar.
+type memStream struct {
+	rows   []types.Tuple
+	hashes []uint64
+	size   int
+	off    int
+	c      Chunk
+}
+
+func (s *memStream) next() (*Chunk, error) {
+	if s.off >= len(s.rows) {
+		return nil, io.EOF
+	}
+	end := min(s.off+s.size, len(s.rows))
+	s.c = Chunk{Rows: s.rows[s.off:end], Hashes: s.hashes[s.off:end]}
+	s.off = end
 	return &s.c, nil
 }
 
@@ -136,7 +156,7 @@ func (ex *scatterExchange) cancel() {
 // produce runs source partition src: pull chunks, hash and size every row
 // once, route rows into per-destination buffers, and ship each buffer when
 // it fills. Rows staying on their source partition are not metered as
-// shuffle — identical to the batch exchange's accounting. The producer
+// shuffle — identical to repartition's accounting. The producer
 // closes its destination channels on every exit path so consumers always
 // see a clean end of stream.
 func (ex *scatterExchange) produce(ctx *Context, src int, cur Cursor, keyCols []int) error {
@@ -254,8 +274,8 @@ func (s *faultingStream) next() (*Chunk, error) {
 }
 
 // mergeStream is destination dst's side of the scatter: it drains source 0's
-// channel to exhaustion, then source 1's, and so on, reproducing the batch
-// exchange's source-block order exactly. It also guards the int32 row-index
+// channel to exhaustion, then source 1's, and so on, reproducing
+// repartition's source-block order exactly. It also guards the int32 row-index
 // limit the downstream build tables rely on.
 type mergeStream struct {
 	ex   *scatterExchange
@@ -562,7 +582,7 @@ func materializeSource(ctx *Context, src Source) (*Relation, error) {
 // hashed, sized, and placed in its destination bucket in one pass, and only
 // the exchanged relation — the one the hash tables must hold — is ever
 // materialized. Destinations receive source blocks in source order with row
-// order preserved, and shuffle metering matches the batch exchange exactly.
+// order preserved, and shuffle metering matches repartition exactly.
 // With wantSizes the per-row encoded sizes travel to the output aligned
 // with the rows (the real-spill join's budget accounting).
 func collectExchanged(ctx *Context, src Source, keyCols []int, wantSizes bool) (*Relation, [][]uint64, [][]int64, error) {

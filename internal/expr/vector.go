@@ -12,7 +12,7 @@ import (
 // Eval of the same node returns Bool(true) for it (so NULL operands drop
 // the row, NOT resurrects it, and numeric cross-kind comparisons take
 // Value.Compare's float route) — which is what lets the engine swap the
-// kernel in under the byte-identical batch-equivalence suite.
+// kernel in without changing a single result row.
 //
 // Fallback rules (the "kernel fallback" contract):
 //   - Call, Param-as-predicate, Arith, and comparisons whose operand kinds

@@ -3,10 +3,9 @@ package types
 import "math"
 
 // This file is the column-major face of the tuple spine: typed column
-// vectors gathered out of row windows, a per-window gather cache, and the
-// columnar form of the composite-key prehash. Vectors exist so the streaming
-// pipeline's inner loops — predicate kernels and join-key hashing — run over
-// dense typed slices instead of 32-byte tagged unions, while the row form
+// vectors gathered out of row windows and a per-window gather cache. Vectors
+// exist so the scan's predicate kernels run over dense typed slices instead
+// of 32-byte tagged unions, while the row form
 // stays authoritative: a ColVec is always derived from rows, never the other
 // way around, so every row-at-a-time operator keeps working unmodified.
 
@@ -115,8 +114,8 @@ type ColSource interface {
 
 // ColCache is a lazy per-window gather cache: each column is decoded at most
 // once per window, on first request, into buffers reused across windows.
-// Producers call SetWindow as they advance; consumers (predicate kernels,
-// the columnar prehash) call Col for just the columns they touch, so a
+// Producers call SetWindow as they advance; consumers (predicate kernels)
+// call Col for just the columns they touch, so a
 // window whose columns nobody asks for costs nothing.
 type ColCache struct {
 	schema *Schema
@@ -151,149 +150,4 @@ func (c *ColCache) Col(i int) *ColVec {
 		c.gen[i] = c.cur
 	}
 	return v
-}
-
-// tagSeed is the FNV-1a state after folding a kind tag byte — the common
-// prefix of Value.Hash for each kind. Computed through a function because
-// the product wraps uint64, which Go's exact constant arithmetic rejects.
-func tagSeed(tag uint64) uint64 {
-	h := fnvOffset64
-	return (h ^ tag) * fnvPrime64
-}
-
-// Per-kind hash states after the tag fold, precomputed once (Value.Hash
-// folds them per call; the columnar hash reuses them per column).
-var (
-	hashNullState  = tagSeed(0)
-	hashIntState   = tagSeed(1)
-	hashFloatState = tagSeed(2)
-	hashStrState   = tagSeed(3)
-)
-
-// hashIntPayload folds an int64 payload exactly like Value.Hash's KindInt
-// arm (and the integral-float arm, which reuses the int encoding).
-func hashIntPayload(v uint64) uint64 {
-	return hashUint64(hashIntState, v)
-}
-
-// hashFloatPayload hashes a float payload exactly like Value.Hash's
-// KindFloat arm: integral values reroute through the int encoding so 3 and
-// 3.0 hash identically.
-func hashFloatPayload(f float64) uint64 {
-	if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-		return hashIntPayload(uint64(int64(f)))
-	}
-	return hashUint64(hashFloatState, math.Float64bits(f))
-}
-
-// The per-kind column folds: each mixes one gathered column into the running
-// composite-key states in dst, kind dispatch hoisted out of the row loop.
-// dst is indexed by live-row position; at returns the window row for a live
-// position (identity when sel is nil).
-
-func foldIntCol(dst []uint64, xs []int64, nulls []bool, sel []int32) {
-	if sel == nil {
-		//dynopt:hotpath
-		for r, h := range dst {
-			hv := hashNullState
-			if !nulls[r] {
-				hv = hashUint64(hashIntState, uint64(xs[r]))
-			}
-			dst[r] = (h ^ hv) * fnvPrime64
-		}
-		return
-	}
-	//dynopt:hotpath
-	for k, r := range sel {
-		hv := hashNullState
-		if !nulls[r] {
-			hv = hashUint64(hashIntState, uint64(xs[r]))
-		}
-		dst[k] = (dst[k] ^ hv) * fnvPrime64
-	}
-}
-
-func foldFloatCol(dst []uint64, xs []float64, nulls []bool, sel []int32) {
-	if sel == nil {
-		//dynopt:hotpath
-		for r, h := range dst {
-			hv := hashNullState
-			if !nulls[r] {
-				hv = hashFloatPayload(xs[r])
-			}
-			dst[r] = (h ^ hv) * fnvPrime64
-		}
-		return
-	}
-	//dynopt:hotpath
-	for k, r := range sel {
-		hv := hashNullState
-		if !nulls[r] {
-			hv = hashFloatPayload(xs[r])
-		}
-		dst[k] = (dst[k] ^ hv) * fnvPrime64
-	}
-}
-
-func hashStrPayload(s string) uint64 {
-	h := hashStrState
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-func foldStrCol(dst []uint64, xs []string, nulls []bool, sel []int32) {
-	if sel == nil {
-		//dynopt:hotpath
-		for r, h := range dst {
-			hv := hashNullState
-			if !nulls[r] {
-				hv = hashStrPayload(xs[r])
-			}
-			dst[r] = (h ^ hv) * fnvPrime64
-		}
-		return
-	}
-	//dynopt:hotpath
-	for k, r := range sel {
-		hv := hashNullState
-		if !nulls[r] {
-			hv = hashStrPayload(xs[r])
-		}
-		dst[k] = (dst[k] ^ hv) * fnvPrime64
-	}
-}
-
-// HashColsInto is the columnar form of HashKeysInto: it computes the
-// composite join-key prehash — bit-identical to Tuple.HashKeys — from
-// gathered key column vectors, one column at a time instead of one row at a
-// time, with kind dispatch paid once per column rather than once per value.
-// sel selects the live rows (nil means all n); the output is aligned with
-// the live rows, matching the chunk sidecar contract. dst is reused when its
-// capacity suffices. Callers must not pass Mixed vectors — they fall back to
-// the row-form hash instead.
-func HashColsInto(cols []*ColVec, sel []int32, n int, dst []uint64) []uint64 {
-	if sel != nil {
-		n = len(sel)
-	}
-	if cap(dst) < n {
-		dst = make([]uint64, n)
-	} else {
-		dst = dst[:n]
-	}
-	for k := range dst {
-		dst[k] = hashKeysOffset
-	}
-	for _, v := range cols {
-		switch v.Kind {
-		case KindInt:
-			foldIntCol(dst, v.Ints, v.Null, sel)
-		case KindFloat:
-			foldFloatCol(dst, v.Floats, v.Null, sel)
-		default: // KindString; other kinds gather as Mixed and never get here
-			foldStrCol(dst, v.Strs, v.Null, sel)
-		}
-	}
-	return dst
 }

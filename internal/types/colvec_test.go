@@ -139,59 +139,3 @@ func TestColCacheWindowInvalidation(t *testing.T) {
 		t.Fatalf("after SetWindow gathered %v", v2.Ints)
 	}
 }
-
-// TestHashColsMatchesRowHash is the columnar-hash equivalence property: for
-// random rows (all hashable kinds, NULLs, integral floats, NaN, extreme
-// values) and random key-column sets, HashColsInto over gathered vectors is
-// bit-identical to Tuple.HashKeys row-at-a-time — dense and through random
-// selection vectors. Exchange placement and every placement-dependent
-// counter depend on this equality.
-func TestHashColsMatchesRowHash(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	kinds := []Kind{KindInt, KindFloat, KindString, KindInt, KindFloat}
-	fields := make([]Field, len(kinds))
-	for i, k := range kinds {
-		fields[i] = Field{Name: string(rune('a' + i)), Kind: k}
-	}
-	sch := NewSchema(fields...)
-	for trial := 0; trial < 50; trial++ {
-		rows := randRows(r, kinds, 1+r.Intn(200))
-		cache := NewColCache(sch)
-		cache.SetWindow(rows)
-		// Random non-empty key set, order-sensitive.
-		nk := 1 + r.Intn(3)
-		idxs := make([]int, nk)
-		vecs := make([]*ColVec, nk)
-		for i := range idxs {
-			idxs[i] = r.Intn(len(kinds))
-			vecs[i] = cache.Col(idxs[i])
-			if vecs[i].Mixed {
-				t.Fatalf("trial %d: kind-pure column %d gathered Mixed", trial, idxs[i])
-			}
-		}
-		dense := HashColsInto(vecs, nil, len(rows), nil)
-		want := HashKeysInto(rows, idxs, nil)
-		for i := range rows {
-			if dense[i] != want[i] {
-				t.Fatalf("trial %d row %d (%s): columnar %x != row %x", trial, i, rows[i], dense[i], want[i])
-			}
-		}
-		// Random selection subset, including empty.
-		var sel []int32
-		for i := range rows {
-			if r.Intn(3) == 0 {
-				sel = append(sel, int32(i))
-			}
-		}
-		got := HashColsInto(vecs, sel, len(rows), nil)
-		ref := HashKeysSelInto(rows, sel, idxs, nil)
-		if len(got) != len(sel) || len(ref) != len(sel) {
-			t.Fatalf("trial %d: sel lengths %d/%d want %d", trial, len(got), len(ref), len(sel))
-		}
-		for k, ri := range sel {
-			if got[k] != ref[k] || got[k] != rows[ri].HashKeys(idxs) {
-				t.Fatalf("trial %d sel %d (row %d): %x / %x / %x", trial, k, ri, got[k], ref[k], rows[ri].HashKeys(idxs))
-			}
-		}
-	}
-}

@@ -205,9 +205,8 @@ func (t Tuple) String() string {
 	return b.String()
 }
 
-// hashKeysOffset seeds the composite-key combine of HashKeys (and its
-// columnar twin HashColsInto — the two must stay bit-identical, since
-// exchange placement and every placement-dependent counter hang off it).
+// hashKeysOffset seeds the composite-key combine of HashKeys (exchange
+// placement and every placement-dependent counter hang off it).
 const hashKeysOffset uint64 = 1469598103934665603 // FNV offset basis
 
 // HashKeys hashes the values at the given column offsets, combining them so
