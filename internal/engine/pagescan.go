@@ -20,8 +20,16 @@ import (
 //     the filter's columns are decoded; every other column's bytes are
 //     skipped inside the page payload.
 //   - Columnar decode: typed page columns decode into the same ColVec form
-//     the vectorized predicate kernels and the columnar join-key prehash
-//     consume, so a paged chunk's column source needs no row-window gather.
+//     the vectorized predicate kernels consume, so a paged chunk's column
+//     source needs no row-window gather.
+//
+// Rows are then filled column by column from the decoded page, needed
+// columns only, into a row slab instead of one allocation per row. A view
+// (projecting scan) reuses one slab for every page, since consumers that
+// keep a view row gather it; rows that leave by header (pass-through and
+// filter-only scans) get a fresh slab per page. Pages the cache can never
+// hold are read into a buffer the cursor reuses, so a view scan's
+// allocations do not grow with the rows or pages it reads.
 //
 // Scan metering is identical to resident mode — the full partition is
 // charged when the cursor opens, pruned or not (I/O actually saved is
@@ -88,8 +96,10 @@ type pagedCursor struct {
 	part int
 	page int // next page index
 	pd   types.PageData
-	win  []types.Tuple // materialized rows of the current page
+	win  []types.Tuple // rows of the current page
+	slab []types.Tuple // a view scan's rows, refilled by every page
 	lo   int           // next unemitted row within win
+	buf  []byte        // read buffer for pages the cache can never hold
 	sel  []int32
 	c    Chunk
 
@@ -141,8 +151,8 @@ func (c *pagedCursor) Col(i int) *types.ColVec {
 	return v
 }
 
-// loadPage advances to the next unpruned page and materializes its row
-// window. Returns io.EOF past the last page.
+// loadPage advances to the next unpruned page and fills its row window.
+// Returns io.EOF past the last page.
 func (c *pagedCursor) loadPage() error {
 	for {
 		if c.page >= c.pg.Pages(c.part) {
@@ -159,24 +169,30 @@ func (c *pagedCursor) loadPage() error {
 			}
 			continue
 		}
-		buf, err := c.pg.ReadPage(c.part, i, c.ctx.PageStats)
+		buf, err := c.pg.ReadPageInto(&c.buf, c.part, i, c.ctx.PageStats)
 		if err != nil {
 			return err
 		}
 		if err := c.pd.DecodePage(buf, c.pg.File().Schema(), c.prep.need); err != nil {
 			return err
 		}
-		// Materialize the page's row window: fresh tuple headers per page
-		// (chunks may outlive the next Next call on pass-through paths, as
-		// resident scans' stored windows do). Undecoded columns are NULL —
-		// only reachable when a projection is pushed down, whose gather
-		// reads decoded columns only.
-		win := make([]types.Tuple, c.pd.NRows)
-		//dynopt:hotpath
-		for r := range win {
-			win[r] = c.pd.Tuple(r)
+		// A view's chunk is valid until the next Next, and every consumer
+		// that keeps one of its rows gathers it, so its slab is refilled
+		// from page to page. Other scans hand rows out to be kept by
+		// header, so each page gets a fresh slab. Rows stay full width:
+		// columns outside prep.need (a view's only) are never written and
+		// stay zero, i.e. NULL, as the need mask is fixed per cursor and
+		// Proj and the filter read decoded columns only.
+		width := c.prep.qualified.Len()
+		if c.prep.projIdx == nil {
+			c.win = types.NewRows(c.pd.NRows, width)
+		} else {
+			if len(c.slab) < c.pd.NRows {
+				c.slab = types.NewRows(c.pd.NRows, width)
+			}
+			c.win = c.slab[:c.pd.NRows]
 		}
-		c.win = win
+		c.pd.FillRows(c.win)
 		c.lo = 0
 		return nil
 	}
@@ -276,8 +292,9 @@ func pagedScanInto(ctx *Context, ds *storage.Dataset, sp *scanPrep) (*Relation, 
 			if err != nil {
 				return err
 			}
-			// Page windows are fresh per page, so stored rows are kept by
-			// header; a projected view gathers its columns into the arena.
+			// Unprojected rows come from a fresh slab per page and are kept
+			// by header; a view's slab is reused by the next page, so its
+			// projected columns are gathered into the arena.
 			rows = ch.appendLive(rows, &arena)
 		}
 		out.Parts[p] = rows

@@ -38,8 +38,7 @@ type probeStream interface {
 // prehashes (and per-row encoded sizes when metering needs them) chunk by
 // chunk into reusable buffers. Selection vectors and projections pass
 // through untouched — the prehash and size sidecars are computed for the
-// live rows only, through the projection on a view, via the columnar hash
-// when the cursor attached column vectors.
+// live rows only, through the projection on a view.
 type localStream struct {
 	cur       Cursor
 	keys      keyHasher

@@ -633,7 +633,7 @@ func flipOp(op CmpOp) CmpOp {
 
 // vecOperand classifies a Compare operand for kernel selection.
 type vecOperand struct {
-	col   int  // schema offset when isCol
+	col   int // schema offset when isCol
 	isCol bool
 	kind  types.Kind // column's schema kind when isCol
 	val   types.Value

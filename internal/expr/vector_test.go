@@ -122,7 +122,7 @@ func randPredTree(r *rand.Rand, depth int) Expr {
 	case 1:
 		return &Or{Kids: kids(2 + r.Intn(2))}
 	default:
-		return &Not{Kid: randPredTree(r, depth - 1)}
+		return &Not{Kid: randPredTree(r, depth-1)}
 	}
 }
 

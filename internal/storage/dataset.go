@@ -74,7 +74,7 @@ func (d *Dataset) PartitionFields() []string { return d.PrimaryKey }
 // The reader is also the window's columnar decoder: Col gathers a column of
 // the current window into a typed vector (cached per window, buffers reused
 // across windows), which is what the engine's vectorized predicate kernels
-// and the columnar join-key prehash read instead of row-form values.
+// read instead of row-form values.
 type ChunkReader struct {
 	part []types.Tuple
 	size int

@@ -128,6 +128,18 @@ func (pg *PagedData) Page(p, i int) *PageInfo { return &pg.file.Part(p).Pages[i]
 // the frame and offers the fresh buffer to the cache. st, when non-nil,
 // observes the read and cache traffic.
 func (pg *PagedData) ReadPage(p, i int, st *PageScanStats) ([]byte, error) {
+	return pg.ReadPageInto(nil, p, i, st)
+}
+
+// ReadPageInto is ReadPage with a caller-owned read buffer for pages the
+// cache can never hold — any page when there is no cache, or one whose
+// payload exceeds the whole cache budget: those are read into *scratch,
+// grown as needed and left there for the next call, so the returned payload
+// is valid only until then. A page the cache could admit is still read into
+// a fresh buffer that Put takes ownership of, and a hit returns the cache's
+// shared buffer; neither ever becomes scratch. A nil scratch reads every
+// page into a fresh buffer.
+func (pg *PagedData) ReadPageInto(scratch *[]byte, p, i int, st *PageScanStats) ([]byte, error) {
 	if st != nil {
 		st.PagesRead.Add(1)
 	}
@@ -141,6 +153,14 @@ func (pg *PagedData) ReadPage(p, i int, st *PageScanStats) ([]byte, error) {
 		if st != nil {
 			st.CacheMisses.Add(1)
 		}
+	}
+	if scratch != nil && (pg.cache == nil || int64(pg.Page(p, i).Len) > pg.cache.Budget()) {
+		buf, err := pg.file.ReadPage(*scratch, p, i)
+		if err != nil {
+			return nil, err
+		}
+		*scratch = buf
+		return buf, nil
 	}
 	buf, err := pg.file.ReadPage(nil, p, i)
 	if err != nil {
@@ -246,11 +266,10 @@ func (v *PartView) Row(off int) (types.Tuple, error) {
 	if err := pd.DecodePage(buf, v.pg.file.schema, nil); err != nil {
 		return nil, err
 	}
-	rows := make([]types.Tuple, pd.NRows)
-	//dynopt:hotpath
-	for r := range rows {
-		rows[r] = pd.Tuple(r)
-	}
+	// Fetched rows are kept by callers, so each decoded page gets its own
+	// slab.
+	rows := types.NewRows(pd.NRows, len(pd.Cols))
+	pd.FillRows(rows)
 	// Evict the least recently used slot.
 	slot := 0
 	for s := 1; s < partViewPages; s++ {

@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dynopt/internal/faults"
@@ -301,6 +303,78 @@ func TestPageCacheBudgetAndEviction(t *testing.T) {
 	c.Close()
 	if reserved != 0 {
 		t.Fatalf("Close left %d bytes reserved", reserved)
+	}
+}
+
+// TestReadPageIntoScratchOwnership: ReadPageInto reads a page the cache can
+// never hold into the caller's scratch, reusing it from call to call, and
+// never lets a buffer the cache owns become scratch — neither the fresh
+// buffer a miss hands to Put nor the shared one a hit returns. Otherwise
+// the caller's next read would overwrite a cached payload in place.
+func TestReadPageIntoScratchOwnership(t *testing.T) {
+	const budget = 1024
+	sch := mixedSchema()
+	rows := mixedRows(256, 5)
+	for i := range rows {
+		if (i/16)%2 == 1 { // odd pages carry long strings and overflow the budget
+			rows[i][2] = types.Str(strings.Repeat("x", 100))
+		}
+	}
+	pf, err := OpenPageFile(writePageFile(t, t.TempDir(), sch, rows, 1, 16), sch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	ds := &Dataset{Name: "t", Schema: sch}
+	pg := AttachPages(ds, pf, NewPageCache(budget))
+	shares := func(a, b []byte) bool {
+		return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+	}
+	var scratch []byte
+	var admitted, refused int
+	for i := 0; i < pg.Pages(0); i++ {
+		for read := 0; read < 2; read++ { // an admitted page's second read hits
+			before := scratch
+			buf, err := pg.ReadPageInto(&scratch, 0, i, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(pg.Page(0, i).Len) > budget {
+				refused++
+				if !shares(buf, scratch) {
+					t.Fatalf("read %d of page %d: an uncacheable page was not read into the scratch buffer", read, i)
+				}
+				if cap(before) >= len(buf) && !shares(buf, before) {
+					t.Fatalf("read %d of page %d: the scratch buffer had room but was not reused", read, i)
+				}
+				continue
+			}
+			admitted++
+			if shares(buf, scratch) {
+				t.Fatalf("read %d of page %d: a buffer the cache owns became the scratch buffer", read, i)
+			}
+		}
+	}
+	if admitted == 0 || refused == 0 {
+		t.Fatalf("the budget must admit some pages and refuse others: %d admitted, %d refused", admitted, refused)
+	}
+	var cached int
+	for i := 0; i < pg.Pages(0); i++ {
+		buf := pg.Cache().Get(pf, 0, i)
+		if buf == nil {
+			continue
+		}
+		cached++
+		disk, err := pf.ReadPage(nil, 0, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, disk) {
+			t.Errorf("cached payload of page %d was overwritten", i)
+		}
+	}
+	if cached == 0 {
+		t.Fatal("no page left cached to check")
 	}
 }
 

@@ -195,3 +195,37 @@ func TestDecodePageTruncationClassified(t *testing.T) {
 		}
 	}
 }
+
+// TestFillRowsMatchesTuple: filling a row slab column by column yields the
+// rows Tuple materializes one by one — typed, NULL, fallback, and bool
+// columns alike — and a slab refilled by a second page under the same need
+// mask holds only that page's values, its skipped columns still NULL.
+func TestFillRowsMatchesTuple(t *testing.T) {
+	sch := pageSchema()
+	pageA := []Tuple{
+		{Int(1), Float(0.5), Str("a"), Bool(true)},
+		{Null(), Null(), Null(), Null()},
+		{Int(3), Float(2.5), Str("ccc"), Bool(false)},
+	}
+	pageB := []Tuple{
+		{Str("mixed"), Float(7), Null(), Bool(true)},
+		{Int(5), Null(), Str("e"), Null()},
+	}
+	for _, need := range [][]bool{nil, {true, false, true, false}, {false, true, false, true}} {
+		slab := NewRows(len(pageA), sch.Len())
+		for _, rows := range [][]Tuple{pageA, pageB} {
+			payload, _ := EncodePage(nil, sch, rows)
+			var pd PageData
+			if err := pd.DecodePage(payload, sch, need); err != nil {
+				t.Fatal(err)
+			}
+			got := slab[:pd.NRows]
+			pd.FillRows(got)
+			for r := range got {
+				if want := pd.Tuple(r); !reflect.DeepEqual(got[r], want) {
+					t.Errorf("need %v, row %d: filled %v, want %v", need, r, got[r], want)
+				}
+			}
+		}
+	}
+}
